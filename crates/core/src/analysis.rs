@@ -538,7 +538,7 @@ fn collect_expr_uses(expr: &Expr, uses: &mut HashSet<String>) {
 }
 
 /// Calls `f` on every direct subexpression of `expr`.
-fn walk_subexprs(expr: &Expr, f: &mut impl FnMut(&Expr)) {
+pub(crate) fn walk_subexprs(expr: &Expr, f: &mut impl FnMut(&Expr)) {
     use Expr::*;
     match expr {
         Number(_) | Bool(_) | Str(_) | None | Ident(_) => {}
@@ -1527,7 +1527,7 @@ impl<'a> Analyzer<'a> {
     }
 }
 
-fn stmts_contain_mutate(stmts: &[Stmt]) -> bool {
+pub(crate) fn stmts_contain_mutate(stmts: &[Stmt]) -> bool {
     stmts.iter().any(|stmt| match &stmt.kind {
         StmtKind::Mutate { .. } => true,
         StmtKind::FuncDef(fd) => stmts_contain_mutate(&fd.body),

@@ -59,6 +59,7 @@
 //! folded program — the reference path — so results stay correct, just
 //! without the speedup.
 
+use crate::early::EarlyPlan;
 use crate::env::{own_vars, EnvRef, Scope};
 use crate::error::RunResult;
 use crate::interp::{Interpreter, Scenario};
@@ -208,6 +209,10 @@ pub(crate) struct CachedDefault {
 /// per-thread base build (and its dynamic verification) happens on
 /// first generation.
 pub(crate) fn lower(scenario: &Scenario) -> CompiledProgram {
+    // Both engines must decide the same checks early, so the folded
+    // scenario shares the plan derived from the source program (folding
+    // only ever removes reads).
+    scenario.early_plan();
     let folded = Scenario {
         program: Arc::new(fold_program(&scenario.program)),
         world: scenario.world.clone(),
@@ -219,6 +224,7 @@ pub(crate) fn lower(scenario: &Scenario) -> CompiledProgram {
             .collect(),
         prune: Arc::clone(&scenario.prune),
         compiled: Arc::new(std::sync::OnceLock::new()),
+        early: Arc::clone(&scenario.early),
     };
 
     // Static hoist-safety. Library code (prelude + modules) runs in, or
@@ -271,10 +277,11 @@ impl CompiledProgram {
     /// # Errors
     ///
     /// Same as [`Scenario::generate_pruned`].
-    pub fn generate<'a>(
+    pub(crate) fn generate<'a>(
         &'a self,
         rng: &mut StdRng,
         plan: Option<&'a PrunePlan>,
+        early: &'a EarlyPlan,
     ) -> RunResult<Scene> {
         match self.base() {
             Some(base) => {
@@ -286,10 +293,11 @@ impl CompiledProgram {
                     base.imported.clone(),
                     Rc::clone(&base.cache),
                     plan,
+                    early,
                 );
                 interp.run_main()
             }
-            None => self.folded.generate_pruned(rng, plan),
+            None => self.folded.generate_checked(rng, plan, Engine::Ast, early),
         }
     }
 
@@ -720,7 +728,7 @@ fn fold_compare(op: CmpOp, lhs: Expr, rhs: Expr) -> Expr {
 
 /// Visits every statement, recursing into all nested bodies (function,
 /// specifier, `if`/`for`/`while`).
-fn for_each_stmt<'a>(stmts: &'a [Stmt], f: &mut impl FnMut(&'a Stmt)) {
+pub(crate) fn for_each_stmt<'a>(stmts: &'a [Stmt], f: &mut impl FnMut(&'a Stmt)) {
     for stmt in stmts {
         f(stmt);
         match &stmt.kind {
@@ -753,7 +761,7 @@ fn assigns_all(stmts: &[Stmt], out: &mut HashSet<String>) {
 /// `assign` targets inside function/specifier bodies only — the
 /// statements of a library that run *per candidate* (when called)
 /// rather than once during the prefix.
-fn assigns_in_defs(stmts: &[Stmt], out: &mut HashSet<String>) {
+pub(crate) fn assigns_in_defs(stmts: &[Stmt], out: &mut HashSet<String>) {
     for_each_stmt(stmts, &mut |stmt| match &stmt.kind {
         StmtKind::FuncDef(fd) => assigns_all(&fd.body, out),
         StmtKind::SpecifierDef(sd) => assigns_all(&sd.body, out),
@@ -763,7 +771,7 @@ fn assigns_in_defs(stmts: &[Stmt], out: &mut HashSet<String>) {
 
 /// Every name the statements bind: assignments, class/function/
 /// specifier definitions, and loop variables, at every depth.
-fn defined_names(stmts: &[Stmt], out: &mut HashSet<String>) {
+pub(crate) fn defined_names(stmts: &[Stmt], out: &mut HashSet<String>) {
     for_each_stmt(stmts, &mut |stmt| match &stmt.kind {
         StmtKind::Assign { name, .. } => {
             out.insert(name.clone());
@@ -877,7 +885,7 @@ fn free_refs_of_def(params: &[(String, Option<Expr>)], body: &[Stmt], out: &mut 
     out.extend(body_refs);
 }
 
-fn collect_expr_idents(expr: &Expr, out: &mut HashSet<String>) {
+pub(crate) fn collect_expr_idents(expr: &Expr, out: &mut HashSet<String>) {
     let mut go = |e: &Expr| collect_expr_idents(e, out);
     match expr {
         Expr::Number(_) | Expr::Bool(_) | Expr::Str(_) | Expr::None => {}
@@ -1115,6 +1123,33 @@ mod tests {
         for name in ["f", "b", "c", "i", "d"] {
             assert!(defined.contains(name), "missing {name}");
         }
+    }
+
+    #[test]
+    fn hoisted_candidate_scope_is_freed_after_the_run() {
+        // The `def` and the user class both close over the candidate
+        // scope that holds them.
+        let scenario = crate::compile(
+            "class Marker(Object):\n    width: 2\ndef f():\n    return 1\nego = Marker at 0 @ f()\n",
+        )
+        .unwrap();
+        let compiled = scenario.compiled();
+        let base = compiled.base().expect("hoists");
+        let candidate = Scope::child(&base.globals);
+        let scope = Rc::downgrade(&candidate);
+        let mut rng = StdRng::seed_from_u64(0);
+        Interpreter::with_base(
+            &compiled.folded,
+            &mut rng,
+            candidate,
+            base.imported.clone(),
+            Rc::clone(&base.cache),
+            None,
+            scenario.early_plan(),
+        )
+        .run_main()
+        .unwrap();
+        assert!(scope.upgrade().is_none(), "candidate scope leaked");
     }
 
     #[test]

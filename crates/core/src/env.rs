@@ -56,6 +56,16 @@ pub(crate) fn own_vars(env: &EnvRef) -> Vec<(String, Value)> {
         .collect()
 }
 
+/// Drops every binding of the scope itself (its parents keep theirs). A
+/// candidate's scope holds the functions and classes it defines, whose
+/// closures are that same scope: clearing it when the candidate ends
+/// breaks the `Rc` cycle that would otherwise leak the scope and every
+/// object it reaches.
+pub(crate) fn clear(env: &EnvRef) {
+    let vars = std::mem::take(&mut env.borrow_mut().vars);
+    drop(vars);
+}
+
 /// Assigns to an existing name in the nearest enclosing scope that has
 /// it, or defines it in the current scope (Python-like assignment
 /// without `nonlocal`: we write into the scope that already holds the

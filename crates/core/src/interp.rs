@@ -1,16 +1,18 @@
 //! The Scenic interpreter: operational semantics of Appendix B.
 //!
 //! A scenario is executed once per sample. The interpreter makes random
-//! choices when evaluating distributions, records `require` conditions,
-//! constructs objects via specifier resolution (Algorithm 1), and at
-//! termination applies mutations, checks all requirements (user-declared
-//! and the three defaults: containment, no collisions, visibility), and
+//! choices when evaluating distributions, constructs objects via
+//! specifier resolution (Algorithm 1), and checks the requirements
+//! (user-declared and the three defaults: containment, no collisions,
+//! visibility) — each as soon as it is decidable (the `early` module
+//! says where), the rest at termination, after mutations — before it
 //! emits a [`Scene`]. Violated requirements surface as
 //! [`ScenicError::Rejected`], which the sampler treats as "retry".
 
 use crate::builtins;
 use crate::class::{self_dependencies, RuntimeClass, PRELUDE};
-use crate::env::{assign, define, lookup, EnvRef, Scope};
+use crate::early::EarlyPlan;
+use crate::env::{assign, clear, define, lookup, EnvRef, Scope};
 use crate::error::{Rejection, RunResult, ScenicError};
 use crate::object::{oriented_point, ObjData, ObjRef};
 use crate::prune::{self, PruneParams, PrunePlan};
@@ -20,7 +22,8 @@ use crate::value::{dict_get, tainted, DistSpec, NativeCtx, Value};
 use crate::world::World;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use scenic_geom::{Heading, Region, Vec2, VectorField};
+use scenic_geom::visibility::Viewer;
+use scenic_geom::{Heading, OrientedBox, Region, Vec2, VectorField};
 use scenic_lang::ast::{BinOp, BoxPoint, CmpOp, Expr, Program, Side, Specifier, Stmt, StmtKind};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -61,6 +64,10 @@ pub struct Scenario {
     /// built lazily on first use and shared by every clone, exactly
     /// like `prune`.
     pub(crate) compiled: Arc<std::sync::OnceLock<Arc<crate::compile::CompiledProgram>>>,
+    /// Which constraints a candidate checks as soon as they are
+    /// decidable (`EarlyPlan`), built lazily on first use and shared by
+    /// every clone, like `prune`.
+    pub(crate) early: Arc<std::sync::OnceLock<Arc<EarlyPlan>>>,
 }
 
 // The parallel batch sampler relies on this; a non-thread-safe field
@@ -155,6 +162,7 @@ pub(crate) fn assemble_with_world(program: Arc<Program>, world: &World) -> RunRe
         module_programs,
         prune: Arc::new(std::sync::OnceLock::new()),
         compiled: Arc::new(std::sync::OnceLock::new()),
+        early: Arc::new(std::sync::OnceLock::new()),
     })
 }
 
@@ -195,9 +203,7 @@ impl Scenario {
         rng: &mut StdRng,
         plan: Option<&'a PrunePlan>,
     ) -> RunResult<Scene> {
-        let mut interp = Interpreter::new(self, rng);
-        interp.prune = plan;
-        interp.run()
+        self.generate_checked(rng, plan, crate::compile::Engine::Ast, self.early_plan())
     }
 
     /// The [`PruneParams`] the §5.2 prepare step derives from this
@@ -272,10 +278,35 @@ impl Scenario {
         plan: Option<&'a PrunePlan>,
         engine: crate::compile::Engine,
     ) -> RunResult<Scene> {
+        self.generate_checked(rng, plan, engine, self.early_plan())
+    }
+
+    /// [`Scenario::generate_with`] under a given early-rejection plan
+    /// (the sampler passes an empty one to defer every check to
+    /// termination).
+    pub(crate) fn generate_checked<'a>(
+        &'a self,
+        rng: &mut StdRng,
+        prune: Option<&'a PrunePlan>,
+        engine: crate::compile::Engine,
+        early: &'a EarlyPlan,
+    ) -> RunResult<Scene> {
         match engine {
-            crate::compile::Engine::Ast => self.generate_pruned(rng, plan),
-            crate::compile::Engine::Compiled => self.compiled().generate(rng, plan),
+            crate::compile::Engine::Ast => {
+                let mut interp = Interpreter::new(self, rng);
+                interp.prune = prune;
+                interp.early = early;
+                interp.run()
+            }
+            crate::compile::Engine::Compiled => self.compiled().generate(rng, prune, early),
         }
+    }
+
+    /// Which constraints a candidate checks as soon as they are
+    /// decidable, derived once per compiled scenario and shared by all
+    /// clones.
+    pub(crate) fn early_plan(&self) -> &Arc<EarlyPlan> {
+        self.early.get_or_init(|| Arc::new(EarlyPlan::build(self)))
     }
 }
 
@@ -384,12 +415,31 @@ struct DeferredRequirement {
     line: u32,
 }
 
+/// What the default requirements read off one physical object.
+struct Footprint {
+    bbox: OrientedBox,
+    allow_collisions: bool,
+    require_visible: bool,
+}
+
+impl Footprint {
+    fn of(d: &ObjData) -> RunResult<Footprint> {
+        Ok(Footprint {
+            bbox: d.bounding_box()?,
+            allow_collisions: d.bool_or("allowCollisions", false),
+            require_visible: d.bool_or("requireVisible", true),
+        })
+    }
+}
+
 /// One execution of a scenario.
 pub struct Interpreter<'s, 'r> {
     scenario: &'s Scenario,
     rng: &'r mut StdRng,
     /// Active §5.2 prune guards, if any ([`Scenario::generate_pruned`]).
     prune: Option<&'s PrunePlan>,
+    /// Which constraints are checked as soon as they are decidable.
+    early: &'s EarlyPlan,
     globals: EnvRef,
     objects: Vec<ObjRef>,
     ego: Option<ObjRef>,
@@ -403,6 +453,18 @@ pub struct Interpreter<'s, 'r> {
     /// default staging, specifier-resolution memo); `None` under the
     /// reference AST engine.
     exec_cache: Option<Rc<crate::compile::ExecCache>>,
+    /// Set once a physical object exists that termination will mutate:
+    /// from then on nothing is decided early, since mutation moves
+    /// objects before the deferred checks run.
+    mutation_pending: bool,
+    /// Footprints of the objects whose containment and collisions are
+    /// decided — always a prefix of `objects`, grown at construction
+    /// while early checks run and completed by `finalize`.
+    footprints: Vec<Footprint>,
+    /// The ego's viewer, taken when `ego` is assigned, and the number of
+    /// objects constructed before that: each later object's visibility
+    /// is decided at its construction.
+    ego_view: Option<(Viewer, usize)>,
 }
 
 impl<'s, 'r> Interpreter<'s, 'r> {
@@ -412,6 +474,7 @@ impl<'s, 'r> Interpreter<'s, 'r> {
             scenario,
             rng,
             prune: None,
+            early: scenario.early_plan(),
             globals: Scope::root(),
             objects: Vec::new(),
             ego: None,
@@ -422,6 +485,9 @@ impl<'s, 'r> Interpreter<'s, 'r> {
             current_self: None,
             depth: 0,
             exec_cache: None,
+            mutation_pending: false,
+            footprints: Vec::new(),
+            ego_view: None,
         }
     }
 
@@ -436,11 +502,13 @@ impl<'s, 'r> Interpreter<'s, 'r> {
         imported: HashSet<String>,
         exec_cache: Rc<crate::compile::ExecCache>,
         prune: Option<&'s PrunePlan>,
+        early: &'s EarlyPlan,
     ) -> Self {
         Interpreter {
             scenario,
             rng,
             prune,
+            early,
             globals,
             objects: Vec::new(),
             ego: None,
@@ -451,6 +519,9 @@ impl<'s, 'r> Interpreter<'s, 'r> {
             current_self: None,
             depth: 0,
             exec_cache: Some(exec_cache),
+            mutation_pending: false,
+            footprints: Vec::new(),
+            ego_view: None,
         }
     }
 
@@ -485,11 +556,60 @@ impl<'s, 'r> Interpreter<'s, 'r> {
     }
 
     /// The per-candidate remainder of a run: execute the user program
-    /// and finalize the scene.
+    /// and finalize the scene. The candidate scope's bindings are
+    /// cleared on the way out, whatever the outcome — the scene has been
+    /// copied out by then — so the scope is freed with the interpreter
+    /// (see `env::clear`).
     pub(crate) fn run_main(&mut self) -> RunResult<Scene> {
         let program = Arc::clone(&self.scenario.program);
-        self.exec_block(&program.statements, &self.globals.clone())?;
-        self.finalize()
+        let globals = self.globals.clone();
+        let scene = self
+            .exec_main(&program.statements, &globals)
+            .and_then(|()| self.finalize());
+        clear(&globals);
+        scene
+    }
+
+    /// The user program's top-level statements, each `require` the plan
+    /// marks decided at its own statement where possible.
+    fn exec_main(&mut self, stmts: &[Stmt], env: &EnvRef) -> RunResult<()> {
+        for (i, stmt) in stmts.iter().enumerate() {
+            if let StmtKind::Require { cond, .. } = &stmt.kind {
+                if self.early.decides_require(i)
+                    && self.decide_requirement(cond, env, stmt.line())?
+                {
+                    continue;
+                }
+            }
+            if let Flow::Return(_) = self.exec_stmt(stmt, env)? {
+                break;
+            }
+        }
+        Ok(())
+    }
+
+    /// Decides a hard `require` at its own statement: `Ok(true)` when it
+    /// holds, its rejection when it fails, and `Ok(false)` when it must
+    /// wait for termination. It waits when an object to be mutated
+    /// exists, when the evaluation draws from the RNG (the snapshot is
+    /// restored, so no later draw shifts), and when the evaluation
+    /// raises an error (the deferred check raises it again, with its
+    /// line, if the candidate gets that far).
+    fn decide_requirement(&mut self, cond: &Expr, env: &EnvRef, line: u32) -> RunResult<bool> {
+        if self.mutation_pending {
+            return Ok(false);
+        }
+        let snapshot = self.rng.clone();
+        let outcome = self.check_requirement(cond, env, line);
+        if *self.rng != snapshot {
+            *self.rng = snapshot;
+            return Ok(false);
+        }
+        match outcome {
+            Ok(()) => Ok(true),
+            Err(rejected @ ScenicError::Rejected(Rejection::Requirement { .. })) => Err(rejected),
+            Err(_) => Ok(false),
+        }
     }
 
     /// The global scope and imported-module set after
@@ -535,6 +655,10 @@ impl<'s, 'r> Interpreter<'s, 'r> {
                 let v = self.eval(value, env).map_err(|e| e.with_line(line))?;
                 if name == "ego" {
                     let obj = v.as_object().map_err(|e| e.with_line(line))?;
+                    if self.early.objects && !self.mutation_pending {
+                        let viewer = obj.borrow().viewer().ok();
+                        self.ego_view = viewer.map(|v| (v, self.objects.len()));
+                    }
                     self.ego = Some(obj);
                 }
                 assign(env, name, v);
@@ -1332,8 +1456,42 @@ impl<'s, 'r> Interpreter<'s, 'r> {
         if obj.borrow().is_physical() {
             self.next_id += 1;
             self.objects.push(Rc::clone(&obj));
+            self.decide_new_object(&obj)?;
         }
         Ok(Value::Object(obj))
+    }
+
+    /// Checks a just-constructed physical object's default requirements
+    /// (Fig. 25) that are already final: its workspace containment, its
+    /// collisions with every earlier object, and, once `ego` is
+    /// assigned, its visibility. An object that termination will mutate
+    /// or whose footprint cannot be computed leaves its checks, and every
+    /// later object's, to `finalize`.
+    fn decide_new_object(&mut self, obj: &ObjRef) -> RunResult<()> {
+        if self.mutation_pending {
+            return Ok(());
+        }
+        let footprint = {
+            let d = obj.borrow();
+            if mutation_scale(&d).is_some() {
+                self.mutation_pending = true;
+                return Ok(());
+            }
+            if !self.early.objects || self.footprints.len() + 1 != self.objects.len() {
+                return Ok(());
+            }
+            match Footprint::of(&d) {
+                Ok(footprint) => footprint,
+                Err(_) => return Ok(()),
+            }
+        };
+        check_containment(&self.scenario.world.workspace, &footprint)?;
+        check_collisions(&self.footprints, &footprint)?;
+        if let Some((viewer, _)) = &self.ego_view {
+            check_visibility(viewer, &footprint)?;
+        }
+        self.footprints.push(footprint);
+        Ok(())
     }
 
     /// The staged default-value specifiers of `class`.
@@ -1773,18 +1931,29 @@ impl<'s, 'r> Interpreter<'s, 'r> {
     }
 
     // -----------------------------------------------------------------
-    // Termination (Fig. 25): mutations, then requirement checks
+    // Termination (Fig. 25): mutations, then the requirement checks not
+    // already decided
     // -----------------------------------------------------------------
+
+    /// One user requirement: `Ok` when it holds, its
+    /// [`Rejection::Requirement`] when it fails.
+    fn check_requirement(&mut self, cond: &Expr, env: &EnvRef, line: u32) -> RunResult<()> {
+        let v = self.eval(cond, env).map_err(|e| e.with_line(line))?;
+        if v.as_bool().map_err(|e| e.with_line(line))? {
+            Ok(())
+        } else {
+            Err(ScenicError::Rejected(Rejection::Requirement { line }))
+        }
+    }
 
     fn finalize(&mut self) -> RunResult<Scene> {
         let ego = self.ego()?;
 
         // Step 1: apply mutations.
         for obj in &self.objects {
-            let scale = obj.borrow().scalar_or("mutationScale", 0.0);
-            if scale <= 0.0 {
+            let Some(scale) = mutation_scale(&obj.borrow()) else {
                 continue;
-            }
+            };
             let (pos, heading, pos_std, head_std) = {
                 let d = obj.borrow();
                 (
@@ -1808,68 +1977,34 @@ impl<'s, 'r> Interpreter<'s, 'r> {
             d.set("heading", Value::Number(heading + nh));
         }
 
-        // Step 2a: user requirements (checked after mutation, §5.1).
+        // Step 2a: user requirements not decided at their statement
+        // (checked after mutation, §5.1).
         let requirements = std::mem::take(&mut self.requirements);
         for req in &requirements {
-            let v = self
-                .eval(&req.cond, &req.env)
-                .map_err(|e| e.with_line(req.line))?;
-            if !v.as_bool().map_err(|e| e.with_line(req.line))? {
-                return Err(ScenicError::Rejected(Rejection::Requirement {
-                    line: req.line,
-                }));
-            }
+            self.check_requirement(&req.cond, &req.env, req.line)?;
         }
-        self.requirements = requirements;
 
-        // Step 2b: default requirements (Fig. 25 termination rule).
-        // Every check below consults object bounding boxes — the
-        // pairwise collision check alone reads O(n²) of them — so each
-        // object's box (and the flags guarding the checks) is computed
-        // once, interleaved with the containment check to keep the
-        // rejection order identical to checking object-by-object.
-        let workspace = &self.scenario.world.workspace;
-        let check_workspace = !matches!(**workspace, Region::Everywhere);
-        let mut boxes = Vec::with_capacity(self.objects.len());
-        for obj in &self.objects {
-            let d = obj.borrow();
-            let bb = d.bounding_box()?;
-            if check_workspace {
-                let inside = bb.corners().iter().all(|&c| workspace.contains(c))
-                    && workspace.contains(bb.center);
-                if !inside {
-                    return Err(ScenicError::Rejected(Rejection::Containment));
-                }
-            }
-            boxes.push((
-                bb,
-                d.bool_or("allowCollisions", false),
-                d.bool_or("requireVisible", true),
-            ));
+        // Step 2b: default requirements of the objects not decided at
+        // construction (Fig. 25 termination rule): containment for each
+        // of them, then their collisions with every earlier object, then
+        // visibility for every object not already checked.
+        let decided = self.footprints.len();
+        for obj in &self.objects[decided..] {
+            let footprint = Footprint::of(&obj.borrow())?;
+            check_containment(&self.scenario.world.workspace, &footprint)?;
+            self.footprints.push(footprint);
         }
-        for (i, (bb_a, allow_a, _)) in boxes.iter().enumerate() {
-            if *allow_a {
-                continue;
-            }
-            for (bb_b, allow_b, _) in boxes.iter().skip(i + 1) {
-                if *allow_b {
-                    continue;
-                }
-                if bb_a.intersects(bb_b) {
-                    return Err(ScenicError::Rejected(Rejection::Collision));
-                }
-            }
+        for k in decided..self.footprints.len() {
+            check_collisions(&self.footprints[..k], &self.footprints[k])?;
         }
         let ego_viewer = ego.borrow().viewer()?;
-        for (obj, (bb, _, require_visible)) in self.objects.iter().zip(&boxes) {
-            if Rc::ptr_eq(obj, &ego) {
-                continue;
-            }
-            if !require_visible {
-                continue;
-            }
-            if !ego_viewer.can_see_box(bb) {
-                return Err(ScenicError::Rejected(Rejection::Visibility));
+        let seen = self
+            .ego_view
+            .as_ref()
+            .map_or(0..0, |(_, from)| *from..decided);
+        for (k, (obj, footprint)) in self.objects.iter().zip(&self.footprints).enumerate() {
+            if !seen.contains(&k) && !Rc::ptr_eq(obj, &ego) {
+                check_visibility(&ego_viewer, footprint)?;
             }
         }
 
@@ -1884,6 +2019,49 @@ impl<'s, 'r> Interpreter<'s, 'r> {
             .map(|o| SceneObject::from_object(o, Rc::ptr_eq(o, &ego)))
             .collect();
         Ok(Scene { params, objects })
+    }
+}
+
+/// The scale at which termination mutates this object (Fig. 25), if it
+/// does.
+fn mutation_scale(d: &ObjData) -> Option<f64> {
+    let scale = d.scalar_or("mutationScale", 0.0);
+    // NaN is not `<= 0`, so termination mutates with it.
+    (scale > 0.0 || scale.is_nan()).then_some(scale)
+}
+
+/// Default requirement: the object lies inside the workspace.
+fn check_containment(workspace: &Region, footprint: &Footprint) -> RunResult<()> {
+    let bb = &footprint.bbox;
+    let inside = matches!(workspace, Region::Everywhere)
+        || (bb.corners().iter().all(|&c| workspace.contains(c)) && workspace.contains(bb.center));
+    if inside {
+        Ok(())
+    } else {
+        Err(ScenicError::Rejected(Rejection::Containment))
+    }
+}
+
+/// Default requirement: the object collides with none of the `earlier`
+/// ones (objects allowing collisions exempt both sides of a pair).
+fn check_collisions(earlier: &[Footprint], footprint: &Footprint) -> RunResult<()> {
+    let apart = footprint.allow_collisions
+        || earlier
+            .iter()
+            .all(|e| e.allow_collisions || !e.bbox.intersects(&footprint.bbox));
+    if apart {
+        Ok(())
+    } else {
+        Err(ScenicError::Rejected(Rejection::Collision))
+    }
+}
+
+/// Default requirement: the ego sees the object, unless it opts out.
+fn check_visibility(ego_viewer: &Viewer, footprint: &Footprint) -> RunResult<()> {
+    if !footprint.require_visible || ego_viewer.can_see_box(&footprint.bbox) {
+        Ok(())
+    } else {
+        Err(ScenicError::Rejected(Rejection::Visibility))
     }
 }
 
@@ -2056,5 +2234,26 @@ fn maybe_taint(value: Value, random: bool) -> Value {
         tainted(value)
     } else {
         value
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn root_scope_is_freed_after_a_reference_run() {
+        // The prelude classes, the `def` and the user class all close
+        // over the root scope that holds them.
+        let scenario = crate::compile(
+            "class Marker(Object):\n    width: 2\ndef f():\n    return 1\nego = Marker at 0 @ f()\n",
+        )
+        .unwrap();
+        let mut rng = StdRng::seed_from_u64(0);
+        let mut interp = Interpreter::new(&scenario, &mut rng);
+        let scope = Rc::downgrade(&interp.globals);
+        interp.run().unwrap();
+        drop(interp);
+        assert!(scope.upgrade().is_none(), "root scope leaked");
     }
 }

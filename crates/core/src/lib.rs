@@ -42,6 +42,7 @@ pub mod cache;
 pub mod class;
 pub mod compile;
 pub mod diag;
+mod early;
 pub mod env;
 pub mod error;
 pub mod interp;

@@ -29,10 +29,11 @@
 //!   the interpretation and the requirement checks. Accepted scenes are
 //!   byte-identical with pruning on or off; the per-pruner rejection
 //!   counters in [`crate::SamplerStats`] record how many candidate runs
-//!   each pruner killed early, which is exactly the iteration count a
-//!   sampler drawing directly from the pruned region would have saved —
-//!   so one guarded run yields both columns of the paper's Appendix D
-//!   comparison.
+//!   each pruner killed early. With every check deferred to termination
+//!   ([`crate::sampler::Sampler::with_deferred_checks`]) that is exactly
+//!   the iteration count a sampler drawing directly from the pruned
+//!   region would have saved — so one guarded run yields both columns of
+//!   the paper's Appendix D comparison.
 //! - **Restrict mode** ([`prune_region`], used by
 //!   `scenic_gta::World::pruned`): the world's region is *replaced* by
 //!   the pruned one, so the sampler never draws a pruned-away position

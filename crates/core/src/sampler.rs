@@ -29,6 +29,7 @@
 //!   `benches/pool.rs`).
 
 use crate::compile::Engine;
+use crate::early::EarlyPlan;
 use crate::error::{Pruner, Rejection, RunResult, ScenicError};
 use crate::interp::Scenario;
 use crate::pool::WorkerPool;
@@ -115,12 +116,14 @@ impl SamplerStats {
         }
     }
 
-    /// Iterations that got past the prune guards into full
-    /// interpretation — the iteration count a sampler drawing directly
-    /// from the pruned regions would have paid. With pruning off this
-    /// equals [`SamplerStats::iterations`]; the gap between the two is
-    /// the Appendix D "unpruned vs pruned" comparison, measured from a
-    /// single guarded run.
+    /// Iterations that got past the prune guards. With pruning off this
+    /// equals [`SamplerStats::iterations`]. Under
+    /// [`Sampler::with_deferred_checks`] it is the iteration count a
+    /// sampler drawing directly from the pruned regions would have paid,
+    /// so the gap between the two is the Appendix D "unpruned vs pruned"
+    /// comparison, measured from a single guarded run. With early checks
+    /// on, a candidate that an earlier check rejects never reaches a
+    /// later guarded draw, so guard kills undercount what pruning saves.
     pub fn full_iterations(&self) -> usize {
         self.iterations - self.prune_rejections()
     }
@@ -206,6 +209,8 @@ struct BatchShared {
     engine: Engine,
     /// Active §5.2 prune guards, shared by every worker.
     prune: Option<Arc<PrunePlan>>,
+    /// The checks every candidate decides early.
+    early: Arc<EarlyPlan>,
     root_seed: u64,
     /// Absolute scene index of the batch's first slot: slot `i` draws
     /// from `derive_scene_seed(root_seed, start + i)`, so a ranged
@@ -240,6 +245,7 @@ fn drain_batch(shared: &BatchShared) -> IndexedOutcomes {
             seed,
             shared.prune.as_deref(),
             shared.engine,
+            &shared.early,
         );
         if outcome.0.is_err() {
             shared.first_error.fetch_min(index, Ordering::AcqRel);
@@ -282,6 +288,7 @@ fn sample_scene(
     seed: u64,
     prune: Option<&PrunePlan>,
     engine: Engine,
+    early: &EarlyPlan,
 ) -> (RunResult<Scene>, SamplerStats) {
     let mut stats = SamplerStats::default();
     let mut seed_rng = StdRng::seed_from_u64(seed);
@@ -289,9 +296,9 @@ fn sample_scene(
         stats.iterations += 1;
         // One seed draw per candidate, whatever happens inside the run:
         // the candidate stream — and therefore the accepted scenes — is
-        // identical with prune guards on or off.
+        // identical with prune guards and early checks on or off.
         let mut run_rng = StdRng::seed_from_u64(seed_rng.gen());
-        match scenario.generate_with(&mut run_rng, prune, engine) {
+        match scenario.generate_checked(&mut run_rng, prune, engine, early) {
             Ok(scene) => {
                 stats.scenes += 1;
                 return (Ok(scene), stats);
@@ -352,6 +359,10 @@ pub struct Sampler<'s> {
     /// Evaluation engine (compiled by default; scenes are byte-identical
     /// either way, see [`Engine`]).
     engine: Engine,
+    /// The checks candidates decide as soon as they are decidable: the
+    /// scenario's own plan, or none after
+    /// [`Sampler::with_deferred_checks`].
+    early: Arc<EarlyPlan>,
 }
 
 impl<'s> Sampler<'s> {
@@ -367,6 +378,7 @@ impl<'s> Sampler<'s> {
             stats: SamplerStats::default(),
             prune: None,
             engine: Engine::default(),
+            early: Arc::clone(scenario.early_plan()),
         }
     }
 
@@ -428,6 +440,22 @@ impl<'s> Sampler<'s> {
         self
     }
 
+    /// Checks every requirement at termination, as Fig. 25 states it,
+    /// instead of as soon as it is decidable. By default each hard
+    /// `require` is checked at its own statement and each object's
+    /// default requirements right after its construction, wherever that
+    /// gives the answer the termination check would; the accepted scenes
+    /// and each scene's candidate count are the same either way, but a
+    /// candidate that fails several checks counts under the one that
+    /// runs first, and one rejected early never reaches a later prune
+    /// guard. `scenic prune-report` samples this way, so its "pruned"
+    /// column ([`SamplerStats::full_iterations`]) keeps Appendix D's
+    /// meaning.
+    pub fn with_deferred_checks(mut self) -> Self {
+        self.early = Arc::new(EarlyPlan::default());
+        self
+    }
+
     /// The active prune plan, if any.
     pub fn prune_plan(&self) -> Option<&Arc<PrunePlan>> {
         self.prune.as_ref()
@@ -467,10 +495,12 @@ impl<'s> Sampler<'s> {
         for _ in 0..self.config.max_iterations {
             self.stats.iterations += 1;
             let mut run_rng = StdRng::seed_from_u64(self.rng.gen());
-            match self
-                .scenario
-                .generate_with(&mut run_rng, self.prune.as_deref(), self.engine)
-            {
+            match self.scenario.generate_checked(
+                &mut run_rng,
+                self.prune.as_deref(),
+                self.engine,
+                &self.early,
+            ) {
                 Ok(scene) => {
                     self.stats.scenes += 1;
                     return Ok(scene);
@@ -499,6 +529,7 @@ impl<'s> Sampler<'s> {
             seed,
             self.prune.as_deref(),
             self.engine,
+            &self.early,
         );
         self.stats.merge(&stats);
         result
@@ -661,6 +692,7 @@ impl<'s> Sampler<'s> {
             config: self.config,
             engine: self.engine,
             prune: self.prune.clone(),
+            early: Arc::clone(&self.early),
             root_seed: self.root_seed,
             start,
             n,
@@ -693,6 +725,7 @@ impl<'s> Sampler<'s> {
                 seed,
                 self.prune.as_deref(),
                 self.engine,
+                &self.early,
             );
             let failed = outcome.0.is_err();
             slots.push(Some(outcome));

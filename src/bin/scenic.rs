@@ -753,8 +753,9 @@ fn guard_table(plan: &PrunePlan) -> Vec<String> {
 }
 
 /// The `--stats` pruning section: the per-pruner region table plus the
-/// guard rejection counters and the derived unpruned-vs-pruned
-/// iteration rates (both measured from the same guarded run).
+/// guard rejection counters. (Guard kills count only candidates no
+/// earlier check rejected, so the Appendix D iteration rates come from
+/// `prune-report`, which defers every check.)
 fn print_prune_stats(prune: bool, plans: &[(String, Arc<PrunePlan>)], total: &SamplerStats) {
     if !prune {
         eprintln!("pruning: off");
@@ -780,11 +781,6 @@ fn print_prune_stats(prune: bool, plans: &[(String, Arc<PrunePlan>)], total: &Sa
         total.prune_containment_rejections,
         total.prune_orientation_rejections,
         total.prune_size_rejections,
-    );
-    eprintln!(
-        "  iterations/scene: {:.1} unpruned-equivalent, {:.1} after pruning",
-        total.iterations_per_scene(),
-        total.full_iterations_per_scene(),
     );
 }
 
@@ -817,7 +813,9 @@ fn print_prune_decisions(decisions: &[(String, Vec<PruneDecision>)]) {
 /// scenario. The guard draws the exact unpruned candidate stream, so
 /// `iterations` is the unpruned column and `full_iterations` (the
 /// candidates that survived the pruned regions and were interpreted to
-/// completion) is the pruned column — one run, both numbers.
+/// completion) is the pruned column — one run, both numbers. Every
+/// check is deferred to termination, as in the paper, so no early
+/// rejection pre-empts a guard.
 fn prune_report(options: &Options, world: &LoadedWorld) -> Result<(), CliError> {
     let jobs = options.jobs.unwrap_or_else(default_jobs);
     let cache = ScenarioCache::new();
@@ -861,7 +859,8 @@ fn prune_report(options: &Options, world: &LoadedWorld) -> Result<(), CliError> 
             .with_config(SamplerConfig {
                 max_iterations: 100_000,
             })
-            .with_prune_params(&params);
+            .with_prune_params(&params)
+            .with_deferred_checks();
         let start = std::time::Instant::now();
         sampler
             .sample_batch(options.n, jobs)

@@ -479,7 +479,9 @@ fn prune_stats_table_lists_guards_and_counters() {
     assert!(err.contains("mars.ground"), "{err}");
     assert!(err.contains("containment"), "{err}");
     assert!(err.contains("prune-guard rejections:"), "{err}");
-    assert!(err.contains("unpruned-equivalent"), "{err}");
+    // Early checks pre-empt guards, so the Appendix D rates are
+    // `prune-report`'s alone.
+    assert!(!err.contains("after pruning"), "{err}");
 }
 
 #[test]
@@ -584,6 +586,37 @@ fn prune_report_regenerates_appendix_d_from_one_run() {
     let again = run(&args);
     assert!(again.status.success());
     assert_eq!(strip_wall_clock(&text), strip_wall_clock(&stdout(&again)));
+}
+
+/// Appendix D's columns for `mars_bottleneck`: `prune-report` defers
+/// every check to termination, so the pruned column counts exactly the
+/// candidates the guard let through (early rejection would raise it to
+/// 1225.7 by rejecting candidates before their guarded draws).
+#[test]
+fn prune_report_pins_the_mars_bottleneck_columns() {
+    let path = bundled("mars_bottleneck.scenic");
+    let path = path.to_str().unwrap();
+    let out = run(&[
+        "prune-report",
+        path,
+        "--world",
+        "mars",
+        "-n",
+        "20",
+        "--seed",
+        "0",
+        "--jobs",
+        "2",
+    ]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let expected = format!(
+        "Appendix D pruning comparison (guard mode: one batch yields both columns)\n\
+         {path}: world mars, n=20, seed=0, jobs=2\n  \
+         mars.ground        containment          64.0 m² ->         61.3 m² ( 95.8% kept)\n  \
+         iters/scene: 1226.0 unpruned, 1000.7 pruned (1.23x fewer); \
+         4505 of 24519 candidates guard-pruned"
+    );
+    assert_eq!(strip_wall_clock(&stdout(&out)), expected);
 }
 
 #[test]
