@@ -36,10 +36,9 @@ pub struct Counters {
 
 /// Generates a dataset through the harness-wide compile cache (see
 /// [`crate::exp_cache`]): scenarios shared across experiments compile
-/// once per process, and at most once per store when `scenic exp`
-/// installed an on-disk artifact store. `world_name` labels `world`
-/// for the cache key; call sites against distinct [`World`] values
-/// must use distinct labels.
+/// once per process. `world_name` labels `world` for the cache key;
+/// call sites against distinct [`World`] values must use distinct
+/// labels.
 fn dataset(
     world_name: &str,
     source: &str,
@@ -958,9 +957,9 @@ mod tests {
         let rows = matrix_mixture(&world, 600, 80, 3, 5, 2, &mut counters).unwrap();
         let base = &rows[0];
         let mixed = &rows[1];
-        // Combined P+R on the overlap set improves (the full-scale run
-        // in exp_table6 shows the individual improvements; at test
-        // scale we assert the combined direction to keep noise down).
+        // Combined P+R on the overlap set improves (a full-scale
+        // `scenic exp table6` run shows the individual improvements; at
+        // test scale we assert the combined direction to keep noise down).
         let base_score = base.precision_b.0 + base.recall_b.0;
         let mixed_score = mixed.precision_b.0 + mixed.recall_b.0;
         assert!(

@@ -6,14 +6,13 @@
 //! the surrogate detector → evaluate — at sizes scaled by
 //! [`ExpConfig::scale`], records the work performed in
 //! [`crate::experiments::Counters`], and reduces the paper's
-//! qualitative claims to named [`ShapeCheck`] verdicts. The `exp_*`
-//! binaries under `src/bin/` are thin wrappers over [`bin_main`]; the
-//! `scenic exp` CLI drives [`run_experiment`] directly and renders
-//! through [`crate::report`].
+//! qualitative claims to named [`ShapeCheck`] verdicts. The
+//! `scenic exp` CLI drives [`run_experiment`] and renders through
+//! [`crate::report`].
 
 use crate::experiments::{self, Counters};
 use crate::report::{ExperimentReport, Row, ShapeCheck, Table};
-use crate::{scaled, standard_world};
+use crate::scaled;
 use scenic_core::ScenicError;
 use scenic_gta::World;
 
@@ -691,39 +690,10 @@ fn ablation(world: &World, cfg: &ExpConfig) -> Result<ExperimentReport, ExpError
     })
 }
 
-/// Shared main for the thin `exp_*` binaries: runs one experiment at
-/// the scale given as `argv[1]` and prints the paper-style text (wall
-/// clock goes to stderr).
-///
-/// # Errors
-///
-/// Propagates harness failures (the binaries surface them and exit
-/// nonzero).
-pub fn bin_main(id: &str) -> Result<(), Box<dyn std::error::Error>> {
-    let cfg = ExpConfig {
-        scale: crate::scale_from_args(),
-        ..ExpConfig::default()
-    };
-    let world = standard_world();
-    let report = run_experiment(id, &world, &cfg)?;
-    print!("{}", report.to_text());
-    eprintln!(
-        "[{}] {:.0} ms, {} scenes / {} images / {} iterations",
-        report.id,
-        report.wall_ms,
-        report.counters.scenes,
-        report.counters.images,
-        report.counters.iterations
-    );
-    if !report.all_hold() {
-        return Err(format!("experiment {id}: a shape check was VIOLATED").into());
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::standard_world;
 
     #[test]
     fn expand_knows_every_id_and_rejects_junk() {

@@ -51,7 +51,6 @@
 
 use crate::error::RunResult;
 use crate::interp::{compile_with_world, Scenario};
-use crate::store::ArtifactStore;
 use crate::world::World;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -82,32 +81,13 @@ pub struct ScenarioCache {
     entries: Mutex<HashMap<(u64, String), Arc<Scenario>>>,
     hits: AtomicUsize,
     misses: AtomicUsize,
-    store: Option<Arc<ArtifactStore>>,
 }
 
 impl ScenarioCache {
-    /// Creates an empty cache with no disk tier.
+    /// Creates an empty cache.
     #[must_use]
     pub fn new() -> Self {
         ScenarioCache::default()
-    }
-
-    /// Creates an empty cache layered over an on-disk
-    /// [`ArtifactStore`]: lookups go memory hit → disk hit → compile,
-    /// and fresh compiles are written back to the store (write failures
-    /// are swallowed — the store is an optimization, not a dependency).
-    #[must_use]
-    pub fn with_store(store: Arc<ArtifactStore>) -> Self {
-        ScenarioCache {
-            store: Some(store),
-            ..ScenarioCache::default()
-        }
-    }
-
-    /// The disk tier, if this cache has one.
-    #[must_use]
-    pub fn store(&self) -> Option<&Arc<ArtifactStore>> {
-        self.store.as_ref()
     }
 
     /// Returns the cached compilation of `source` against the world
@@ -129,22 +109,6 @@ impl ScenarioCache {
         if let Some(hit) = self.lookup(world_name, source) {
             return Ok(hit);
         }
-        // Disk tier: decode a persisted entry instead of compiling.
-        // The load happens under the entries lock so one key probes the
-        // disk once per process, and the decoded scenario is promoted
-        // into the memory tier before the lock drops.
-        if let Some(store) = &self.store {
-            let key = (source_hash(source), world_name.to_owned());
-            let mut entries = self.entries.lock().expect("scenario cache poisoned");
-            if let Some(hit) = entries.get(&key) {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(Arc::clone(hit));
-            }
-            if let Some(loaded) = store.load(world_name, source, world) {
-                entries.insert(key, Arc::clone(&loaded));
-                return Ok(loaded);
-            }
-        }
         // Compile outside the lock: parsing a big scenario must not
         // block concurrent lookups. Two racing compilers of the same
         // key both succeed and one insert wins — compilation is
@@ -153,23 +117,13 @@ impl ScenarioCache {
         // `misses()` always equals the number of entries ever cached.
         let compiled = Arc::new(compile_with_world(source, world)?);
         let mut entries = self.entries.lock().expect("scenario cache poisoned");
-        let (entry, won) = match entries.entry((source_hash(source), world_name.to_owned())) {
-            std::collections::hash_map::Entry::Occupied(e) => (Arc::clone(e.get()), false),
+        match entries.entry((source_hash(source), world_name.to_owned())) {
+            std::collections::hash_map::Entry::Occupied(e) => Ok(Arc::clone(e.get())),
             std::collections::hash_map::Entry::Vacant(v) => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
-                (Arc::clone(v.insert(compiled)), true)
-            }
-        };
-        drop(entries);
-        // Write-back, by the insert winner only (losers would write the
-        // same bytes). Outside the lock: serialization and the forced
-        // prune-plan build must not block concurrent lookups.
-        if won {
-            if let Some(store) = &self.store {
-                let _ = store.save(world_name, source, &entry);
+                Ok(Arc::clone(v.insert(compiled)))
             }
         }
-        Ok(entry)
     }
 
     /// Returns the cached compilation if present (counts as a hit),

@@ -80,9 +80,6 @@ pub enum Code {
     /// I203 — a requirement implies a tighter pruning bound than the
     /// derivation could prove; `prune-report` flags would exploit it.
     PruningOpportunity,
-    /// E301 — a fresh sampling run diverged from the digest the
-    /// artifact-store ledger pinned for the same key.
-    StoreDigestDivergence,
 }
 
 impl Code {
@@ -105,7 +102,6 @@ impl Code {
             Code::PrunerDisabled => "I201",
             Code::PrunerEnabled => "I202",
             Code::PruningOpportunity => "I203",
-            Code::StoreDigestDivergence => "E301",
         }
     }
 
@@ -128,7 +124,6 @@ impl Code {
             Code::PrunerDisabled => "pruner-disabled",
             Code::PrunerEnabled => "pruner-enabled",
             Code::PruningOpportunity => "pruning-opportunity",
-            Code::StoreDigestDivergence => "store-digest-divergence",
         }
     }
 

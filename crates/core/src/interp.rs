@@ -103,12 +103,26 @@ pub fn compile(source: &str) -> RunResult<Scenario> {
 /// ```
 pub fn compile_with_world(source: &str, world: &World) -> RunResult<Scenario> {
     let program = Arc::new(scenic_lang::parse(source)?);
-    assemble_with_world(program, world)
+    let prelude = prelude_program();
+    let mut module_programs = HashMap::new();
+    for (name, module) in &world.modules {
+        if let Some(src) = &module.source {
+            module_programs.insert(name.clone(), module_program(src)?);
+        }
+    }
+    Ok(Scenario {
+        program,
+        world: world.clone(),
+        prelude,
+        module_programs,
+        prune: Arc::new(std::sync::OnceLock::new()),
+        compiled: Arc::new(std::sync::OnceLock::new()),
+        early: Arc::new(std::sync::OnceLock::new()),
+    })
 }
 
 /// The built-in prelude, parsed once per process. Every scenario shares
-/// the same parsed program (it is immutable), so repeated compiles —
-/// and artifact-store loads, which skip parsing the user program — pay
+/// the same parsed program (it is immutable), so repeated compiles pay
 /// for the prelude parse exactly once.
 pub(crate) fn prelude_program() -> Arc<Program> {
     static PARSED: std::sync::OnceLock<Arc<Program>> = std::sync::OnceLock::new();
@@ -138,32 +152,6 @@ pub(crate) fn module_program(source: &str) -> RunResult<Arc<Program>> {
             Ok(Arc::clone(v.insert(program)))
         }
     }
-}
-
-/// Assembles a [`Scenario`] from an already-parsed user program — the
-/// shared back half of [`compile_with_world`] and the artifact store's
-/// load path (which decodes the program from bytes instead of parsing).
-///
-/// # Errors
-///
-/// Returns parse errors from any module library source.
-pub(crate) fn assemble_with_world(program: Arc<Program>, world: &World) -> RunResult<Scenario> {
-    let prelude = prelude_program();
-    let mut module_programs = HashMap::new();
-    for (name, module) in &world.modules {
-        if let Some(src) = &module.source {
-            module_programs.insert(name.clone(), module_program(src)?);
-        }
-    }
-    Ok(Scenario {
-        program,
-        world: world.clone(),
-        prelude,
-        module_programs,
-        prune: Arc::new(std::sync::OnceLock::new()),
-        compiled: Arc::new(std::sync::OnceLock::new()),
-        early: Arc::new(std::sync::OnceLock::new()),
-    })
 }
 
 impl Scenario {

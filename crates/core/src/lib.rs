@@ -52,7 +52,6 @@ pub mod prune;
 pub mod sampler;
 pub mod scene;
 pub mod specifier;
-pub mod store;
 pub mod value;
 pub mod world;
 
@@ -66,7 +65,6 @@ pub use pool::WorkerPool;
 pub use prune::{PruneParams, PrunePlan};
 pub use sampler::{derive_scene_seed, BatchReport, Sampler, SamplerConfig, SamplerStats};
 pub use scene::{batch_digest, scene_digest, PropValue, Scene, SceneObject};
-pub use store::{ArtifactStore, LedgerKey, LedgerOutcome, StoreError, STORE_FORMAT_VERSION};
 pub use value::Value;
 pub use world::{Module, NativeValue, World};
 

@@ -47,9 +47,9 @@ type Task = Box<dyn FnOnce() + Send + 'static>;
 /// Workers are spawned lazily: the pool starts with the requested
 /// thread count and [grows](WorkerPool::ensure_workers) whenever a call
 /// asks for more concurrency than it currently has, up to the largest
-/// `tasks` value ever requested — mirroring what the scoped
-/// implementation would have spawned for that call, but paying the
-/// spawn only once per process instead of once per batch.
+/// `tasks` value ever requested — the threads a per-call spawn would
+/// have started for that call, but paid for once per process instead
+/// of once per batch.
 ///
 /// Dropping a non-global pool closes the queue and joins every worker;
 /// the [`WorkerPool::global`] instance lives for the whole process.
@@ -248,7 +248,7 @@ impl WorkerPool {
 /// Extracts a human-readable message from a caught panic payload
 /// (`panic!("...")` and `assert!` produce `&str` or `String` payloads;
 /// anything else is opaque).
-pub fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
+fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = panic.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = panic.downcast_ref::<String>() {

@@ -409,32 +409,6 @@ impl RegionGuard {
     pub fn pruners(&self) -> impl Iterator<Item = Pruner> + '_ {
         self.stages.iter().map(|(pruner, _)| *pruner)
     }
-
-    /// The staged pruned regions, in check order — read by the on-disk
-    /// artifact store's plan codec.
-    pub(crate) fn stages(&self) -> &[(Pruner, Region)] {
-        &self.stages
-    }
-
-    /// Reassembles a guard from its serialized parts. `original` must
-    /// be the world's *own* native region `Arc` (guard matching is by
-    /// identity), which is why the store relinks it from the live
-    /// [`World`] instead of deserializing a region value.
-    pub(crate) fn from_parts(
-        module: String,
-        name: String,
-        original: Arc<Region>,
-        stages: Vec<(Pruner, Region)>,
-        effects: Vec<PrunerEffect>,
-    ) -> Self {
-        RegionGuard {
-            module,
-            name,
-            original,
-            stages,
-            effects,
-        }
-    }
 }
 
 /// The product of the prune prepare step: one guard per prunable

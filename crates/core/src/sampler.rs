@@ -14,19 +14,11 @@
 //! **bit-reproducible**: the RNG stream of scene `i` is derived
 //! *by index* from the sampler's root seed via a SplitMix64 stream split
 //! ([`derive_scene_seed`]), so the output is byte-identical for any
-//! worker count *and* any thread-pool strategy. The design needs no
-//! extra dependencies and no `unsafe`: a compiled [`Scenario`] is
-//! `Send + Sync`, each worker builds its own thread-local interpreter
-//! state per run.
-//!
-//! Two dispatch strategies share one worker loop:
-//!
-//! - [`Sampler::sample_batch`] runs on the persistent process-wide
-//!   [`WorkerPool`] (threads spawned once, reused by every call);
-//! - [`Sampler::sample_batch_scoped`] spawns a fresh
-//!   [`std::thread::scope`] pool per call (zero persistent state; kept
-//!   as the baseline the pool is benchmarked against, see
-//!   `benches/pool.rs`).
+//! worker count. The design needs no extra dependencies and no
+//! `unsafe`: a compiled [`Scenario`] is `Send + Sync`, each worker
+//! builds its own thread-local interpreter state per run, and batches
+//! run on the persistent process-wide [`WorkerPool`] (threads spawned
+//! once, reused by every call).
 
 use crate::compile::Engine;
 use crate::early::EarlyPlan;
@@ -200,8 +192,8 @@ type IndexedOutcomes = Vec<(usize, (RunResult<Scene>, SamplerStats))>;
 
 /// Everything a batch worker needs, shared across threads. Owning a
 /// [`Scenario`] clone (cheap: compiled programs and world geometry are
-/// `Arc`-shared) keeps the state `'static`, so the same struct drives
-/// both scoped threads and the persistent [`WorkerPool`].
+/// `Arc`-shared) keeps the state `'static`, as the persistent
+/// [`WorkerPool`] requires.
 struct BatchShared {
     scenario: Scenario,
     config: SamplerConfig,
@@ -225,10 +217,10 @@ struct BatchShared {
     first_error: AtomicUsize,
 }
 
-/// The worker loop shared by every dispatch strategy: pull the next
-/// scene index, derive its seed, run a thread-local interpreter; after
-/// any failure, indices above the lowest failing one are abandoned
-/// (their results could never be reported).
+/// The batch worker loop: pull the next scene index, derive its seed,
+/// run a thread-local interpreter; after any failure, indices above the
+/// lowest failing one are abandoned (their results could never be
+/// reported).
 fn drain_batch(shared: &BatchShared) -> IndexedOutcomes {
     let mut local = Vec::new();
     loop {
@@ -552,12 +544,11 @@ impl<'s> Sampler<'s> {
     ///
     /// Runs on the persistent process-wide [`WorkerPool`], so repeated
     /// batches reuse the same threads instead of paying `jobs` spawns
-    /// per call (use [`Sampler::sample_batch_scoped`] for the zero-state
-    /// scoped-spawn strategy, or [`Sampler::sample_batch_report_with`]
-    /// for a private pool). `jobs` is clamped to `1..=n` — a batch never
-    /// engages more workers than it has scenes, and single-scene batches
-    /// run inline; pass `std::thread::available_parallelism()` for a
-    /// sensible default.
+    /// per call (use [`Sampler::sample_batch_report_with`] for a private
+    /// pool). `jobs` is clamped to `1..=n` — a batch never engages more
+    /// workers than it has scenes, and single-scene batches run inline;
+    /// pass `std::thread::available_parallelism()` for a sensible
+    /// default.
     ///
     /// # Errors
     ///
@@ -595,13 +586,7 @@ impl<'s> Sampler<'s> {
         count: usize,
         jobs: usize,
     ) -> RunResult<BatchReport> {
-        let jobs = jobs.clamp(1, count.max(1));
-        let slots = if jobs == 1 {
-            self.batch_serial(start, count)
-        } else {
-            self.batch_pooled(WorkerPool::global(), start, count, jobs)?
-        };
-        self.reduce(count, slots)
+        self.batch_report(WorkerPool::global(), start, count, jobs)
     }
 
     /// Like [`Sampler::sample_batch_report`], but on a caller-supplied
@@ -619,39 +604,23 @@ impl<'s> Sampler<'s> {
         n: usize,
         jobs: usize,
     ) -> RunResult<BatchReport> {
-        let jobs = jobs.clamp(1, n.max(1));
-        let slots = if jobs == 1 {
-            self.batch_serial(0, n)
-        } else {
-            self.batch_pooled(pool, 0, n, jobs)?
-        };
-        self.reduce(n, slots)
+        self.batch_report(pool, 0, n, jobs)
     }
 
-    /// [`Sampler::sample_batch`] on a fresh [`std::thread::scope`] pool
-    /// spawned for this call only — the pre-`WorkerPool` strategy, kept
-    /// as the baseline `benches/pool.rs` measures the persistent pool
-    /// against. Output is byte-identical to the pooled path.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Sampler::sample_batch`].
-    pub fn sample_batch_scoped(&mut self, n: usize, jobs: usize) -> RunResult<Vec<Scene>> {
-        self.sample_batch_report_scoped(n, jobs).map(|r| r.scenes)
-    }
-
-    /// Like [`Sampler::sample_batch_scoped`], but also returns per-scene
-    /// rejection statistics.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Sampler::sample_batch`].
-    pub fn sample_batch_report_scoped(&mut self, n: usize, jobs: usize) -> RunResult<BatchReport> {
+    /// The body of every batch entry point: scenes `start..start + n`
+    /// on `pool` with `jobs` clamped to `1..=n` (one job runs inline).
+    fn batch_report(
+        &mut self,
+        pool: &WorkerPool,
+        start: usize,
+        n: usize,
+        jobs: usize,
+    ) -> RunResult<BatchReport> {
         let jobs = jobs.clamp(1, n.max(1));
         let slots = if jobs == 1 {
-            self.batch_serial(0, n)
+            self.batch_serial(start, n)
         } else {
-            self.batch_scoped(n, jobs)?
+            self.batch_pooled(pool, start, n, jobs)?
         };
         self.reduce(n, slots)
     }
@@ -660,8 +629,7 @@ impl<'s> Sampler<'s> {
     /// and collect scenes up to (and including) the first failure.
     /// Slots past a failure may or may not have been computed
     /// depending on worker timing; ignoring them keeps scenes, error,
-    /// and statistics all invariant in `jobs` and in the dispatch
-    /// strategy.
+    /// and statistics all invariant in `jobs`.
     fn reduce(&mut self, n: usize, slots: Vec<BatchSlot>) -> RunResult<BatchReport> {
         let mut report = BatchReport {
             scenes: Vec::with_capacity(n),
@@ -701,19 +669,7 @@ impl<'s> Sampler<'s> {
         }
     }
 
-    /// Scatters worker results back into index-addressed slots.
-    fn fill_slots(n: usize, results: Vec<IndexedOutcomes>) -> Vec<BatchSlot> {
-        let mut slots: Vec<BatchSlot> = Vec::new();
-        slots.resize_with(n, || None);
-        for local in results {
-            for (index, outcome) in local {
-                slots[index] = Some(outcome);
-            }
-        }
-        slots
-    }
-
-    /// In-thread batch: identical semantics to the parallel paths, with
+    /// In-thread batch: identical semantics to the parallel path, with
     /// early exit at the first error.
     fn batch_serial(&self, start: usize, n: usize) -> Vec<BatchSlot> {
         let mut slots: Vec<BatchSlot> = Vec::new();
@@ -736,35 +692,11 @@ impl<'s> Sampler<'s> {
         slots
     }
 
-    /// Per-call scoped threads, all running [`drain_batch`]. A worker
-    /// panic (an interpreter bug) surfaces as
-    /// [`ScenicError::WorkerPanic`] instead of poisoning the caller, so
-    /// long-running drivers keep serving.
-    fn batch_scoped(&self, n: usize, jobs: usize) -> RunResult<Vec<BatchSlot>> {
-        let shared = self.batch_shared(0, n);
-        let results = std::thread::scope(|scope| {
-            let workers: Vec<_> = (0..jobs)
-                .map(|_| {
-                    let shared = &shared;
-                    scope.spawn(move || drain_batch(shared))
-                })
-                .collect();
-            workers
-                .into_iter()
-                .map(|worker| {
-                    worker.join().map_err(|panic| ScenicError::WorkerPanic {
-                        message: crate::pool::panic_message(&*panic),
-                    })
-                })
-                .collect::<RunResult<Vec<_>>>()
-        })?;
-        Ok(Self::fill_slots(n, results))
-    }
-
     /// Persistent-pool dispatch: `jobs` copies of [`drain_batch`] on the
     /// pool (one inline on this thread), no thread spawned after the
-    /// pool's first growth to this concurrency. Worker panics surface
-    /// as [`ScenicError::WorkerPanic`], same as the scoped path.
+    /// pool's first growth to this concurrency. A worker panic (an
+    /// interpreter bug) surfaces as [`ScenicError::WorkerPanic`] instead
+    /// of poisoning the caller, so a long-running daemon keeps serving.
     fn batch_pooled(
         &self,
         pool: &WorkerPool,
@@ -777,7 +709,13 @@ impl<'s> Sampler<'s> {
         let results = pool
             .try_execute(jobs, move |_| drain_batch(&worker_shared))
             .map_err(|message| ScenicError::WorkerPanic { message })?;
-        Ok(Self::fill_slots(n, results))
+        // Scatter worker results back into index-addressed slots.
+        let mut slots: Vec<BatchSlot> = Vec::new();
+        slots.resize_with(n, || None);
+        for (index, outcome) in results.into_iter().flatten() {
+            slots[index] = Some(outcome);
+        }
+        Ok(slots)
     }
 }
 

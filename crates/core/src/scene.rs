@@ -201,7 +201,7 @@ fn fnv_fold(mut hash: u64, scene: &Scene) -> u64 {
 }
 
 /// FNV-1a (64-bit) over the scene's canonical JSON — the digest family
-/// `tests/determinism.rs` pins and the store ledger records. Stable
+/// `tests/determinism.rs` pins and `scenic sample --stats` prints. Stable
 /// across platforms and worker counts; any change here is a breaking
 /// change to the determinism contract.
 #[must_use]

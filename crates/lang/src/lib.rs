@@ -15,7 +15,6 @@
 //! ```
 
 pub mod ast;
-pub mod codec;
 pub mod error;
 pub mod lexer;
 pub mod parser;
@@ -26,7 +25,6 @@ pub use ast::{
     BinOp, BoxPoint, ClassDef, CmpOp, Expr, FuncDef, Program, Side, Specifier, SpecifierDef, Stmt,
     StmtKind,
 };
-pub use codec::{decode_program, encode_program, ByteReader, ByteWriter, CodecError};
 pub use error::{ParseError, ParseResult};
 pub use lexer::lex;
 pub use parser::parse;

@@ -251,17 +251,6 @@ pub struct DaemonStats {
     pub cache_misses: u64,
     /// Scenarios currently cached.
     pub cache_entries: u64,
-    /// Base directory of the on-disk artifact store (empty when the
-    /// daemon runs memory-only).
-    pub store_dir: String,
-    /// Disk-tier loads served intact from the artifact store.
-    pub disk_hits: u64,
-    /// Disk-tier loads that found no usable entry (absent or corrupt).
-    pub disk_misses: u64,
-    /// Disk-tier entries rejected by integrity checks and rebuilt.
-    pub disk_corrupt: u64,
-    /// Disk-tier entries written by this daemon.
-    pub disk_writes: u64,
     /// Malformed frames / messages seen (each also dropped or error-
     /// replied on its own connection without affecting others).
     pub protocol_errors: u64,
@@ -405,20 +394,6 @@ fn get_f64(map: &serde_json::Map, key: &str) -> ProtoResult<f64> {
 }
 
 /// Decodes a `u64` carried as a decimal string.
-/// A `u64` field that defaults to 0 when absent (protocol-evolution
-/// fields added after v1).
-fn opt_u64(map: &serde_json::Map, key: &str) -> u64 {
-    map.get(key).and_then(Value::as_u64).unwrap_or(0)
-}
-
-/// A string field that defaults to empty when absent.
-fn opt_str(map: &serde_json::Map, key: &str) -> String {
-    map.get(key)
-        .and_then(Value::as_str)
-        .unwrap_or_default()
-        .to_owned()
-}
-
 fn get_u64_string(map: &serde_json::Map, key: &str) -> ProtoResult<u64> {
     get_str(map, key)?
         .parse()
@@ -560,11 +535,6 @@ impl Response {
                 ("cache_hits", num64(stats.cache_hits)),
                 ("cache_misses", num64(stats.cache_misses)),
                 ("cache_entries", num64(stats.cache_entries)),
-                ("store_dir", s(&stats.store_dir)),
-                ("disk_hits", num64(stats.disk_hits)),
-                ("disk_misses", num64(stats.disk_misses)),
-                ("disk_corrupt", num64(stats.disk_corrupt)),
-                ("disk_writes", num64(stats.disk_writes)),
                 ("protocol_errors", num64(stats.protocol_errors)),
                 (
                     "per_scenario",
@@ -640,13 +610,6 @@ impl Response {
                     cache_hits: get_u64(map, "cache_hits")?,
                     cache_misses: get_u64(map, "cache_misses")?,
                     cache_entries: get_u64(map, "cache_entries")?,
-                    // Disk-tier fields are tolerant of absence so a new
-                    // client can talk to a pre-store daemon.
-                    store_dir: opt_str(map, "store_dir"),
-                    disk_hits: opt_u64(map, "disk_hits"),
-                    disk_misses: opt_u64(map, "disk_misses"),
-                    disk_corrupt: opt_u64(map, "disk_corrupt"),
-                    disk_writes: opt_u64(map, "disk_writes"),
                     protocol_errors: get_u64(map, "protocol_errors")?,
                     per_scenario,
                 }))

@@ -62,11 +62,6 @@ pub struct ServerConfig {
     /// no `timeout_ms`. On expiry the daemon stops after the current
     /// chunk and replies with a typed `timeout` error.
     pub request_timeout: Duration,
-    /// On-disk artifact store layered under the compiled-scenario
-    /// cache. With a store, a relaunched daemon serves its first
-    /// request from the disk tier instead of recompiling. `None`
-    /// (the default) keeps the daemon memory-only.
-    pub store: Option<Arc<scenic_core::ArtifactStore>>,
 }
 
 impl Default for ServerConfig {
@@ -74,7 +69,6 @@ impl Default for ServerConfig {
         ServerConfig {
             read_timeout: Duration::from_secs(30),
             request_timeout: Duration::from_secs(120),
-            store: None,
         }
     }
 }
@@ -105,12 +99,8 @@ impl std::fmt::Debug for ServerState {
 
 impl ServerState {
     fn new(config: ServerConfig) -> Self {
-        let cache = match &config.store {
-            Some(store) => ScenarioCache::with_store(Arc::clone(store)),
-            None => ScenarioCache::new(),
-        };
         ServerState {
-            cache,
+            cache: ScenarioCache::new(),
             config,
             started: Instant::now(),
             requests: AtomicU64::new(0),
@@ -146,15 +136,6 @@ impl ServerState {
             cache_hits: self.cache.hits() as u64,
             cache_misses: self.cache.misses() as u64,
             cache_entries: self.cache.len() as u64,
-            store_dir: self
-                .cache
-                .store()
-                .map(|store| store.base().display().to_string())
-                .unwrap_or_default(),
-            disk_hits: self.cache.store().map_or(0, |s| s.disk_hits()) as u64,
-            disk_misses: self.cache.store().map_or(0, |s| s.disk_misses()) as u64,
-            disk_corrupt: self.cache.store().map_or(0, |s| s.corrupt_entries()) as u64,
-            disk_writes: self.cache.store().map_or(0, |s| s.writes()) as u64,
             protocol_errors: self.protocol_errors.load(Ordering::Relaxed),
             per_scenario: if detailed {
                 self.per_scenario
@@ -505,10 +486,6 @@ fn lint_reply(diags: &[Diagnostic], file: &str, source: &str) -> Response {
 
 /// Compiles through the shared cache. The `bool` is "was already
 /// cached"; failures come back as ready-to-send error replies.
-// The `Err` is a ready-to-send `Response` (large because of the
-// `Status(DaemonStats)` variant); it's written to the wire once on the
-// cold failure path, never propagated.
-#[allow(clippy::result_large_err)]
 fn compile_cached(
     state: &ServerState,
     world_name: &str,

@@ -113,15 +113,6 @@ fn build_response(variant: u8, text: &str, n: usize, seed: u64, flag: bool) -> R
             cache_misses: (n % 13) as u64,
             cache_entries: (n % 13) as u64,
             protocol_errors: (n % 2) as u64,
-            store_dir: if flag {
-                format!("/tmp/store-{}", n % 17)
-            } else {
-                String::new()
-            },
-            disk_hits: (n % 19) as u64,
-            disk_misses: (n % 23) as u64,
-            disk_corrupt: (n % 3) as u64,
-            disk_writes: (n % 29) as u64,
             per_scenario: vec![
                 (text.to_string(), (n % 100) as u64),
                 ("other".into(), seed % 7),

@@ -11,7 +11,6 @@
 //! scenic sample <file>... [--world W] [-n N] [--seed S] [--jobs J]
 //!               [--repeat R] [--format json|gta|wbt|summary]
 //!               [--out DIR] [--stats]
-//! scenic bench-pool <file>... [--world W] [--jobs J] [--seed S]
 //! scenic exp    <name>... [--scale S] [--seed N] [--jobs J]
 //!               [--json PATH] [--md PATH]
 //! scenic serve  [--host H] [--port P]
@@ -34,11 +33,8 @@
 //! compilations go through a [`ScenarioCache`] keyed by source content
 //! and world, so `--repeat R` pays one compile for `R` sampling rounds
 //! (round `r` re-roots the seed at `S + r`), and the same file listed
-//! twice — or reached via two paths — is compiled once.
-//!
-//! `bench-pool` measures what the persistent worker pool buys: it times
-//! `sample_batch` per call under the scoped-spawn strategy (fresh
-//! threads per call) and the persistent pool, at batch sizes 1/8/64.
+//! twice — or reached via two paths — is compiled once. The cache lives
+//! in memory, so nothing persists from one invocation to the next.
 //!
 //! `exp` reproduces the paper's evaluation: each named experiment (or
 //! `all`) drives the full sample → render → train → evaluate pipeline
@@ -58,15 +54,11 @@
 //! through [`scenic::serve::format`], and scene RNG streams depend only
 //! on the seed and scene index).
 
-use scenic::core::cache::source_hash;
 use scenic::core::compile::Engine;
 use scenic::core::diag::{render_json, render_line, render_text, Diagnostic, Severity};
 use scenic::core::prune::{PruneDecision, PrunePlan};
 use scenic::core::sampler::{Sampler, SamplerConfig, SamplerStats};
-use scenic::core::{
-    analyze, batch_digest, compile_with_world, ArtifactStore, LedgerKey, PruneParams,
-    ScenarioCache, ScenicError, StoreError, World,
-};
+use scenic::core::{analyze, batch_digest, PruneParams, ScenarioCache, ScenicError, World};
 use scenic::prelude::{Scene, Vec2};
 use scenic::serve::format::{file_extension, render_scene};
 use scenic::serve::proto::{Request, Response, SampleRequest};
@@ -115,21 +107,14 @@ usage:
   scenic prune-report <file>... [--world W] [-n N] [--seed S] [--jobs J]
                 [--min-radius R] [--heading LO,HI] [--heading-tolerance D]
                 [--max-distance M] [--min-width W]
-  scenic bench-pool <file>... [--world gta|mars|bare] [--jobs J] [--seed S]
   scenic exp    <name>... [--scale S] [--seed N] [--jobs J]
                 [--json PATH] [--md PATH]
-  scenic store  verify [--store DIR]
   scenic serve  [--host H] [--port P]
   scenic client <action> [<file>...] [--addr HOST:PORT]
                 [sample/lint options]
 
 options:
   --world W     world/library to compile against (default: gta)
-  --store DIR   on-disk artifact store directory. Default: the
-                SCENIC_STORE environment variable, else ~/.cache/scenic
-                (SCENIC_STORE=off, an empty value, or --no-store
-                disables the store)
-  --no-store    compile in-memory only; never touch the artifact store
   --deny warnings
                 (lint) exit 1 when any warning fires
   -n N          number of scenes to sample (default: 1)
@@ -151,7 +136,8 @@ options:
                 summary); lint takes text|json (default text)
   --out DIR     write one file per scene instead of stdout
   --stats       print rejection-sampling, pruning, and compile-cache
-                statistics to stderr
+                statistics, plus one batch digest per scenario round,
+                to stderr
   --ppm         also write a top-down scene_NNNN.ppm (needs --out)
   --scale S     (exp) dataset scale factor, positive (default 1.0)
   --json PATH   (exp) write the scenic-exp/v1 JSON artifact
@@ -165,16 +151,6 @@ run. Pruner parameters start from the derived ones and are overridden
 by --min-radius (m), --heading LO,HI (deg, relative-heading interval
 enabling orientation pruning), --heading-tolerance (deg),
 --max-distance (m), and --min-width (m, enabling size pruning).
-
-`bench-pool` compares scoped-spawn vs persistent-pool batch sampling
-per call at batch sizes 1/8/64 (its --jobs defaults to 8).
-
-`store verify` audits the artifact store's digest ledger: every
-recorded sampling run is replayed from the stored compiled artifact
-and its batch digest compared against the pinned one. Entries whose
-artifact is missing (or whose world this binary cannot rebuild) are
-skipped with a warning; a digest mismatch is reported as diagnostic
-E301 (store-digest-divergence) and exits 1.
 
 `exp` reproduces the paper's evaluation tables/figures end-to-end
 (sample → render → train → evaluate the surrogate detector). <name> is
@@ -211,8 +187,8 @@ struct Options {
     /// Whether `--seed` was given explicitly (`exp` distinguishes
     /// per-experiment default seeds from a user override).
     seed_given: bool,
-    /// `None` until `--jobs` is given: `sample` defaults to all cores,
-    /// `bench-pool` to 8 (the worker count the pool is sized against).
+    /// `None` until `--jobs` is given: local sampling defaults to all
+    /// cores, `client sample` to the daemon's choice.
     jobs: Option<usize>,
     repeat: usize,
     format: String,
@@ -247,10 +223,6 @@ struct Options {
     json_out: Option<String>,
     /// `exp` markdown report path.
     md_out: Option<String>,
-    /// `--store DIR`: explicit artifact store directory.
-    store: Option<String>,
-    /// `--no-store`: never touch the on-disk artifact store.
-    no_store: bool,
 }
 
 fn default_jobs() -> usize {
@@ -293,8 +265,6 @@ fn parse_args(mut args: std::env::Args) -> Result<Options, String> {
         scale: 1.0,
         json_out: None,
         md_out: None,
-        store: None,
-        no_store: false,
     };
     let mut args = args.peekable();
     let mut format_given = false;
@@ -307,7 +277,9 @@ fn parse_args(mut args: std::env::Args) -> Result<Options, String> {
             "-n" => {
                 options.n = take("-n")?
                     .parse()
-                    .map_err(|_| "-n needs a positive integer")?;
+                    .ok()
+                    .filter(|n| *n > 0)
+                    .ok_or("-n needs a positive integer")?;
             }
             "--seed" => {
                 options.seed = take("--seed")?
@@ -352,8 +324,6 @@ fn parse_args(mut args: std::env::Args) -> Result<Options, String> {
                 options.deny_warnings = true;
             }
             "--out" => options.out = Some(take("--out")?),
-            "--store" => options.store = Some(take("--store")?),
-            "--no-store" => options.no_store = true,
             "--stats" => options.stats = true,
             "--ppm" => options.ppm = true,
             "--prune" | "--prune=on" => options.prune = true,
@@ -426,7 +396,6 @@ fn parse_args(mut args: std::env::Args) -> Result<Options, String> {
                 "client needs an action (sample, compile, lint, status, stats, health, shutdown)"
                     .into()
             }
-            "store" => "store needs an action (verify)".into(),
             "exp" => format!(
                 "exp needs an experiment name ({}, or all)",
                 scenic::bench::harness::EXPERIMENT_IDS.join(", ")
@@ -495,40 +464,6 @@ fn build_world(name: &str) -> LoadedWorld {
     }
 }
 
-/// Resolves the on-disk artifact store for this invocation:
-/// `--no-store` wins, then `--store DIR`, then the `SCENIC_STORE`
-/// environment variable (`off` or an empty value disables), then the
-/// default `~/.cache/scenic`. An explicitly requested directory that
-/// cannot be opened is a hard error; the implicit default failing (no
-/// home directory, unwritable cache) silently runs store-less — the
-/// store is an optimization, not a dependency.
-fn resolve_store(options: &Options) -> Result<Option<Arc<ArtifactStore>>, CliError> {
-    if options.no_store {
-        return Ok(None);
-    }
-    let explicit = options
-        .store
-        .clone()
-        .or_else(|| std::env::var("SCENIC_STORE").ok());
-    match explicit {
-        Some(dir) if dir.is_empty() || dir == "off" => Ok(None),
-        Some(dir) => ArtifactStore::open(&dir)
-            .map(|store| Some(Arc::new(store)))
-            .map_err(|e| CliError::Other(format!("store {dir}: {e}"))),
-        None => Ok(ArtifactStore::default_dir()
-            .and_then(|dir| ArtifactStore::open(dir).ok())
-            .map(Arc::new)),
-    }
-}
-
-/// A [`ScenarioCache`] layered over the resolved store (when any).
-fn resolve_cache(options: &Options) -> Result<ScenarioCache, CliError> {
-    Ok(match resolve_store(options)? {
-        Some(store) => ScenarioCache::with_store(store),
-        None => ScenarioCache::new(),
-    })
-}
-
 /// Renders a 60 m top-down view centered on the ego.
 fn write_ppm(
     scene: &Scene,
@@ -585,8 +520,9 @@ fn unique_stems(files: &[String]) -> Vec<String> {
         .collect()
 }
 
-/// One sampling round of one scenario: draw `n` scenes, write them
-/// out, and return the batch digest (for the store's audit ledger).
+/// One sampling round of one scenario: draw `n` scenes and write them
+/// out. Under `--stats`, also print the round's batch digest (decimal,
+/// the family `tests/determinism.rs` pins) so runs can be compared.
 #[allow(clippy::too_many_arguments)]
 fn sample_round(
     options: &Options,
@@ -598,7 +534,7 @@ fn sample_round(
     rep: usize,
     jobs: usize,
     total: &mut SamplerStats,
-) -> Result<u64, CliError> {
+) -> Result<(), CliError> {
     let seed = options.seed.wrapping_add(rep as u64);
     let mut sampler = Sampler::new(scenario)
         .with_seed(seed)
@@ -609,7 +545,12 @@ fn sample_round(
     let scenes = sampler
         .sample_batch(options.n, jobs)
         .map_err(|e| scenic_err(file, source, e))?;
-    let digest = batch_digest(&scenes);
+    if options.stats {
+        eprintln!(
+            "batch digest: {file} round {rep} seed {seed}: {}",
+            batch_digest(&scenes)
+        );
+    }
     // Per-scene output names must stay unique across scenarios and
     // rounds sharing one --out directory.
     let multi_file = options.files.len() > 1;
@@ -648,89 +589,6 @@ fn sample_round(
         }
     }
     total.merge(&sampler.stats());
-    Ok(digest)
-}
-
-/// Pins one sampling round's batch digest in the store's audit ledger.
-/// Divergence from an already-pinned digest is the loud, typed E301
-/// failure; any other ledger trouble (unwritable directory, malformed
-/// ledger file) degrades to a warning — sampling already succeeded.
-fn record_round(
-    store: &ArtifactStore,
-    options: &Options,
-    source: &str,
-    rep: usize,
-    jobs: usize,
-    digest: u64,
-) -> Result<(), CliError> {
-    let key = LedgerKey {
-        scenario: source_hash(source),
-        world: options.world.clone(),
-        seed: options.seed.wrapping_add(rep as u64),
-        jobs,
-        n: options.n,
-        engine: options.engine.to_string(),
-    };
-    match store.record(&key, digest) {
-        Ok(_) => Ok(()),
-        Err(err @ StoreError::Divergence { .. }) => {
-            let d = Diagnostic::global(scenic::core::Code::StoreDigestDivergence, err.to_string());
-            eprintln!("{}", render_line(&d));
-            Err(CliError::Other(
-                "ledger digest divergence (see diagnostic above)".into(),
-            ))
-        }
-        Err(err) => {
-            eprintln!("warning: ledger not updated: {err}");
-            Ok(())
-        }
-    }
-}
-
-/// Mean wall-clock per call of `f`, in microseconds (one warm-up call,
-/// then at least 8 timed calls or 150 ms, whichever is more).
-fn time_per_call(mut f: impl FnMut()) -> f64 {
-    f(); // warm-up: first pool call pays the one-time thread spawn
-    let budget = std::time::Duration::from_millis(150);
-    let start = std::time::Instant::now();
-    let mut calls = 0u32;
-    while calls < 8 || (start.elapsed() < budget && calls < 10_000) {
-        f();
-        calls += 1;
-    }
-    start.elapsed().as_secs_f64() * 1e6 / f64::from(calls)
-}
-
-/// `bench-pool`: per-call scoped-spawn vs persistent-pool comparison.
-fn bench_pool(options: &Options, world: &LoadedWorld) -> Result<(), CliError> {
-    let jobs = options.jobs.unwrap_or(8);
-    for file in &options.files {
-        let source = read_source(file)?;
-        let scenario =
-            compile_with_world(&source, &world.core).map_err(|e| scenic_err(file, &source, e))?;
-        println!(
-            "{file}: scoped-spawn vs persistent pool, jobs={jobs}, seed={}",
-            options.seed
-        );
-        for batch in [1usize, 8, 64] {
-            let scoped = time_per_call(|| {
-                let mut sampler = Sampler::new(&scenario).with_seed(options.seed);
-                sampler
-                    .sample_batch_scoped(batch, jobs)
-                    .expect("scoped batch");
-            });
-            let pooled = time_per_call(|| {
-                let mut sampler = Sampler::new(&scenario).with_seed(options.seed);
-                sampler.sample_batch(batch, jobs).expect("pooled batch");
-            });
-            println!(
-                "  batch={batch:>2}: scoped {scoped:>9.1} µs/call, pool {pooled:>9.1} µs/call \
-                 ({:+.1} µs, {:.2}x)",
-                pooled - scoped,
-                scoped / pooled,
-            );
-        }
-    }
     Ok(())
 }
 
@@ -877,7 +735,7 @@ fn prune_report(options: &Options, world: &LoadedWorld) -> Result<(), CliError> 
             unpruned / pruned,
             stats.prune_rejections(),
             stats.iterations,
-            elapsed_ms / options.n.max(1) as f64,
+            elapsed_ms / options.n as f64,
         );
     }
     Ok(())
@@ -885,126 +743,6 @@ fn prune_report(options: &Options, world: &LoadedWorld) -> Result<(), CliError> 
 
 fn client_err(e: ClientError) -> CliError {
     CliError::Other(e.to_string())
-}
-
-/// The `--stats` disk-tier section: per-tier counters of the artifact
-/// store plus the audit-ledger activity, or `store: off`.
-fn print_store_stats(store: Option<&Arc<ArtifactStore>>) {
-    match store {
-        Some(store) => {
-            eprintln!(
-                "store {}: {} disk hit(s), {} disk miss(es), {} corrupt entr{}, {} write(s)",
-                store.base().display(),
-                store.disk_hits(),
-                store.disk_misses(),
-                store.corrupt_entries(),
-                if store.corrupt_entries() == 1 {
-                    "y"
-                } else {
-                    "ies"
-                },
-                store.writes(),
-            );
-            eprintln!(
-                "ledger: {} digest(s) recorded, {} confirmed",
-                store.ledger_recorded(),
-                store.ledger_confirmed(),
-            );
-        }
-        None => eprintln!("store: off"),
-    }
-}
-
-/// `store verify`: replay every ledger entry from the stored artifact
-/// and compare batch digests. Skips (with a stderr warning) entries
-/// whose artifact is gone or whose world/engine this binary cannot
-/// rebuild; reports divergences as E301 diagnostics and exits 1.
-fn store_verify(options: &Options) -> Result<ExitCode, CliError> {
-    let store = resolve_store(options)?.ok_or_else(|| {
-        CliError::Other(
-            "store verify: no store configured (pass --store DIR or set SCENIC_STORE)".into(),
-        )
-    })?;
-    let entries = store.ledger_entries().map_err(|e| e.to_string())?;
-    let total = entries.len();
-    let mut worlds: std::collections::HashMap<String, LoadedWorld> =
-        std::collections::HashMap::new();
-    let (mut verified, mut skipped) = (0usize, 0usize);
-    let mut diverged = false;
-    for (key, recorded) in entries {
-        if !matches!(key.world.as_str(), "gta" | "mars" | "bare") {
-            eprintln!(
-                "skipping {:016x} ({}): this binary cannot rebuild that world",
-                key.scenario, key.world
-            );
-            skipped += 1;
-            continue;
-        }
-        let engine = match key.engine.parse::<Engine>() {
-            Ok(engine) => engine,
-            Err(_) => {
-                eprintln!(
-                    "skipping {:016x} ({}): unknown engine `{}`",
-                    key.scenario, key.world, key.engine
-                );
-                skipped += 1;
-                continue;
-            }
-        };
-        let world = worlds
-            .entry(key.world.clone())
-            .or_insert_with(|| build_world(&key.world));
-        let Some(scenario) = store.load_by_hash(&key.world, key.scenario, &world.core) else {
-            eprintln!(
-                "skipping {:016x} ({}): artifact not in store (evicted or never written here)",
-                key.scenario, key.world
-            );
-            skipped += 1;
-            continue;
-        };
-        let mut sampler = Sampler::new(&scenario)
-            .with_seed(key.seed)
-            .with_engine(engine);
-        let scenes = sampler
-            .sample_batch(key.n, key.jobs.max(1))
-            .map_err(|e| format!("resampling {:016x} ({}): {e}", key.scenario, key.world))?;
-        let fresh = batch_digest(&scenes);
-        if fresh == recorded {
-            verified += 1;
-        } else {
-            let err = StoreError::Divergence {
-                key,
-                recorded,
-                fresh,
-            };
-            let d = Diagnostic::global(scenic::core::Code::StoreDigestDivergence, err.to_string());
-            eprintln!("{}", render_line(&d));
-            diverged = true;
-        }
-    }
-    println!(
-        "store {}: {verified} of {total} ledger entr{} verified, {skipped} skipped, {} diverged",
-        store.base().display(),
-        if total == 1 { "y" } else { "ies" },
-        total - verified - skipped,
-    );
-    Ok(if diverged {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    })
-}
-
-/// `store`: audit subcommands for the on-disk artifact store.
-fn store_command(options: &Options) -> Result<ExitCode, CliError> {
-    let (action, _) = options
-        .files
-        .split_first()
-        .expect("parse_args requires an action");
-    match action.as_str() {
-        "verify" => store_verify(options),
-        other => Err(format!("unknown store action `{other}` (expected verify)").into()),
-    }
 }
 
 /// `exp`: reproduce the paper's experiments through the shared harness.
@@ -1027,11 +765,6 @@ fn exp_command(options: &Options) -> Result<ExitCode, CliError> {
                 ids.push(id);
             }
         }
-    }
-    // Persist experiment compiles across processes: repeated `exp`
-    // runs skip straight to sampling.
-    if let Some(store) = resolve_store(options)? {
-        scenic::bench::install_store(store);
     }
     let world = scenic::bench::standard_world();
     let mut reports = Vec::new();
@@ -1069,7 +802,6 @@ fn exp_command(options: &Options) -> Result<ExitCode, CliError> {
             cache.misses(),
             cache.hits(),
         );
-        print_store_stats(cache.store());
     }
     let held: usize = reports
         .iter()
@@ -1089,13 +821,7 @@ fn exp_command(options: &Options) -> Result<ExitCode, CliError> {
 /// asks it to shut down.
 fn serve(options: &Options) -> Result<ExitCode, CliError> {
     let addr = format!("{}:{}", options.host, options.port);
-    // A store-backed daemon cache survives restarts: a warm store
-    // serves the first request after a restart without recompiling.
-    let config = scenic::serve::ServerConfig {
-        store: resolve_store(options)?,
-        ..scenic::serve::ServerConfig::default()
-    };
-    let server = Server::bind_with(addr.as_str(), config).map_err(|e| format!("{addr}: {e}"))?;
+    let server = Server::bind(addr.as_str()).map_err(|e| format!("{addr}: {e}"))?;
     let local = server.local_addr().map_err(|e| e.to_string())?;
     // Scripts (and the CI smoke test) parse this line for the port, so
     // it must hit the pipe before the accept loop blocks.
@@ -1249,16 +975,6 @@ fn client_command(options: &Options) -> Result<ExitCode, CliError> {
                 "cache: {} scenario(s), {} hit(s), {} miss(es); {} protocol error(s)",
                 stats.cache_entries, stats.cache_hits, stats.cache_misses, stats.protocol_errors,
             );
-            if !stats.store_dir.is_empty() {
-                println!(
-                    "store {}: {} disk hit(s), {} disk miss(es), {} corrupt, {} write(s)",
-                    stats.store_dir,
-                    stats.disk_hits,
-                    stats.disk_misses,
-                    stats.disk_corrupt,
-                    stats.disk_writes,
-                );
-            }
             for (name, scenes) in &stats.per_scenario {
                 println!("  {name}: {scenes} scene(s)");
             }
@@ -1295,7 +1011,7 @@ fn run(options: &Options) -> Result<ExitCode, CliError> {
         }
         "check" => {
             let world = build_world(&options.world);
-            let cache = resolve_cache(options)?;
+            let cache = ScenarioCache::new();
             let mut failed = false;
             for file in &options.files {
                 let source = read_source(file)?;
@@ -1333,7 +1049,7 @@ fn run(options: &Options) -> Result<ExitCode, CliError> {
         }
         "lint" => {
             let world = build_world(&options.world);
-            let cache = resolve_cache(options)?;
+            let cache = ScenarioCache::new();
             let mut any_error = false;
             let mut any_warning = false;
             for file in &options.files {
@@ -1374,9 +1090,7 @@ fn run(options: &Options) -> Result<ExitCode, CliError> {
             // One cache for the whole invocation: a scenario listed
             // twice, or sampled for --repeat rounds, compiles once (and
             // prunes once: the plan is cached on the compiled scenario).
-            // With a store resolved, the compile is skipped entirely
-            // when a previous process persisted the same scenario.
-            let cache = resolve_cache(options)?;
+            let cache = ScenarioCache::new();
             let mut total = SamplerStats::default();
             let mut plans: Vec<(String, Arc<PrunePlan>)> = Vec::new();
             let mut decisions: Vec<(String, Vec<PruneDecision>)> = Vec::new();
@@ -1393,12 +1107,9 @@ fn run(options: &Options) -> Result<ExitCode, CliError> {
                         }
                         decisions.push((file.clone(), scenario.derived_prune_decisions()));
                     }
-                    let digest = sample_round(
+                    sample_round(
                         options, &world, &scenario, file, &source, stem, rep, jobs, &mut total,
                     )?;
-                    if let Some(store) = cache.store() {
-                        record_round(store, options, &source, rep, jobs, digest)?;
-                    }
                 }
             }
             if options.stats {
@@ -1421,7 +1132,6 @@ fn run(options: &Options) -> Result<ExitCode, CliError> {
                     cache.misses(),
                     cache.hits(),
                 );
-                print_store_stats(cache.store());
             }
             Ok(ExitCode::SUCCESS)
         }
@@ -1430,13 +1140,7 @@ fn run(options: &Options) -> Result<ExitCode, CliError> {
             prune_report(options, &world)?;
             Ok(ExitCode::SUCCESS)
         }
-        "bench-pool" => {
-            let world = build_world(&options.world);
-            bench_pool(options, &world)?;
-            Ok(ExitCode::SUCCESS)
-        }
         "exp" => exp_command(options),
-        "store" => store_command(options),
         "serve" => serve(options),
         "client" => client_command(options),
         other => Err(CliError::Other(format!("unknown command `{other}`"))),

@@ -76,7 +76,6 @@ pub mod prelude {
     pub use scenic_core::pool::WorkerPool;
     pub use scenic_core::sampler::{derive_scene_seed, BatchReport, Sampler, SamplerConfig};
     pub use scenic_core::scene::{Scene, SceneObject};
-    pub use scenic_core::store::{ArtifactStore, LedgerKey, LedgerOutcome, StoreError};
     pub use scenic_core::{batch_digest, compile, compile_with_world, scene_digest, ScenicError};
     pub use scenic_geom::{Heading, Polygon, Region, Vec2, VectorField};
     pub use scenic_serve::{Client, SampleRequest, Server};

@@ -1,6 +1,6 @@
 //! Integration tests of the compiled-scenario cache and the persistent
-//! sampler worker pool: invalidation semantics, cross-call reuse, and
-//! pooled-vs-scoped output equivalence.
+//! sampler worker pool: invalidation semantics, concurrent compiles,
+//! and private-pool output equivalence.
 
 use scenic::gta::{scenarios, MapConfig, World};
 use scenic::prelude::*;
@@ -66,48 +66,18 @@ fn cached_scenario_samples_identically_to_fresh_compile() {
 }
 
 #[test]
-fn pool_reuse_matches_fresh_scoped_runs_digest_for_digest() {
-    let world = World::generate(MapConfig::default());
-    let scenario = compile_with_world(scenarios::SIMPLEST, world.core()).unwrap();
-
-    // Two batches back-to-back on the persistent pool (the second call
-    // reuses the threads the first one spawned)...
-    let pooled_first = Sampler::new(&scenario)
-        .with_seed(3)
-        .sample_batch(4, 4)
-        .unwrap();
-    let pooled_second = Sampler::new(&scenario)
-        .with_seed(9)
-        .sample_batch(4, 4)
-        .unwrap();
-
-    // ...must equal two fresh scoped-spawn runs, digest for digest.
-    let scoped_first = Sampler::new(&scenario)
-        .with_seed(3)
-        .sample_batch_scoped(4, 4)
-        .unwrap();
-    let scoped_second = Sampler::new(&scenario)
-        .with_seed(9)
-        .sample_batch_scoped(4, 4)
-        .unwrap();
-    assert_eq!(batch_digest(&pooled_first), batch_digest(&scoped_first));
-    assert_eq!(batch_digest(&pooled_second), batch_digest(&scoped_second));
-    assert_ne!(batch_digest(&pooled_first), batch_digest(&pooled_second));
-}
-
-#[test]
-fn private_pool_reports_match_scoped_reports() {
+fn private_pool_reports_match_serial_reports() {
     let scenario = compile("ego = Object at 0 @ 0\nObject at 0 @ (4, 9)\n").unwrap();
     let pool = WorkerPool::new(1);
     let mut pooled = Sampler::new(&scenario).with_seed(5);
-    let mut scoped = Sampler::new(&scenario).with_seed(5);
+    let mut serial = Sampler::new(&scenario).with_seed(5);
     for _ in 0..2 {
         let a = pooled.sample_batch_report_with(&pool, 5, 3).unwrap();
-        let b = scoped.sample_batch_report_scoped(5, 3).unwrap();
+        let b = serial.sample_batch_report(5, 1).unwrap();
         assert_eq!(batch_digest(&a.scenes), batch_digest(&b.scenes));
         assert_eq!(a.per_scene, b.per_scene);
     }
-    assert_eq!(pooled.stats(), scoped.stats());
+    assert_eq!(pooled.stats(), serial.stats());
     // jobs=3 runs one worker inline and two on the pool: the 1-thread
     // pool must have grown to 2 for the first batch, then stayed put.
     assert_eq!(pool.workers(), 2, "pool did not grow for the batches");
@@ -172,80 +142,4 @@ fn concurrent_clients_share_exactly_one_compilation() {
         cache.hits(),
         THREADS * 16
     );
-}
-
-#[test]
-fn pooled_batch_error_matches_scoped_error() {
-    // Unsatisfiable: two objects pinned to the same spot.
-    let scenario = compile("ego = Object at 0 @ 0\nObject at 0 @ 0.5\n").unwrap();
-    let config = SamplerConfig { max_iterations: 5 };
-    let mut pooled = Sampler::new(&scenario).with_seed(1).with_config(config);
-    let mut scoped = Sampler::new(&scenario).with_seed(1).with_config(config);
-    let a = pooled.sample_batch(4, 4).unwrap_err();
-    let b = scoped.sample_batch_scoped(4, 4).unwrap_err();
-    assert_eq!(a, b, "pooled and scoped dispatch disagree on the error");
-    assert_eq!(
-        pooled.stats(),
-        scoped.stats(),
-        "cancellation statistics drifted between dispatch strategies"
-    );
-}
-
-#[test]
-fn concurrent_clients_share_the_disk_tier_too() {
-    // Same hammer, with a store underneath: the racing threads must
-    // still converge on one compile, one entry file, and a warm cache
-    // over the same directory must then serve everything from disk.
-    const THREADS: usize = 8;
-    let dir = std::env::temp_dir().join(format!("scenic-cache-store-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let world = Arc::new(World::generate(MapConfig::default()).core().clone());
-    let digest = {
-        let store = Arc::new(ArtifactStore::open(&dir).unwrap());
-        let cache = Arc::new(ScenarioCache::with_store(store));
-        let barrier = Arc::new(std::sync::Barrier::new(THREADS));
-        let handles: Vec<_> = (0..THREADS)
-            .map(|_| {
-                let cache = Arc::clone(&cache);
-                let world = Arc::clone(&world);
-                let barrier = Arc::clone(&barrier);
-                std::thread::spawn(move || {
-                    barrier.wait();
-                    cache
-                        .get_or_compile("gta", scenarios::SIMPLEST, &world)
-                        .expect("compiles")
-                })
-            })
-            .collect();
-        let all: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        for entry in &all {
-            assert!(Arc::ptr_eq(&all[0], entry));
-        }
-        assert_eq!(cache.misses(), 1, "one compile despite the store race");
-        assert_eq!(cache.store().unwrap().entry_count(), 1);
-        let scenes = Sampler::new(&all[0])
-            .with_seed(5)
-            .sample_batch(2, 2)
-            .unwrap();
-        batch_digest(&scenes)
-    };
-    // Warm process (simulated by a fresh cache + store over the same
-    // directory): disk hit, zero compiles, identical scenes.
-    let store = Arc::new(ArtifactStore::open(&dir).unwrap());
-    let cache = ScenarioCache::with_store(Arc::clone(&store));
-    let scenario = cache
-        .get_or_compile("gta", scenarios::SIMPLEST, &world)
-        .unwrap();
-    assert_eq!(cache.misses(), 0, "warm lookup must not compile");
-    assert_eq!(store.disk_hits(), 1);
-    let scenes = Sampler::new(&scenario)
-        .with_seed(5)
-        .sample_batch(2, 2)
-        .unwrap();
-    assert_eq!(
-        batch_digest(&scenes),
-        digest,
-        "disk tier changed the scenes"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -16,11 +16,7 @@ fn write_scenario(name: &str, source: &str) -> PathBuf {
 }
 
 fn run(args: &[&str]) -> Output {
-    // Store off by default: these tests pin compile counts and stderr
-    // byte-for-byte, which a warm user-level artifact store would
-    // change. Store-specific tests opt back in with explicit --store.
     Command::new(scenic_bin())
-        .env("SCENIC_STORE", "off")
         .args(args)
         .output()
         .expect("failed to launch scenic binary")
@@ -418,9 +414,15 @@ fn same_stem_in_different_directories_does_not_collide_in_out_dir() {
 #[test]
 fn zero_repeat_is_rejected() {
     let path = write_scenario("rep0.scenic", "ego = Car\n");
-    let out = run(&["sample", path.to_str().unwrap(), "--repeat", "0"]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(stderr(&out).contains("--repeat"), "{}", stderr(&out));
+    for flag in ["--repeat", "-n"] {
+        let out = run(&["sample", path.to_str().unwrap(), flag, "0"]);
+        assert_eq!(out.status.code(), Some(2), "{flag} 0");
+        assert!(
+            stderr(&out).contains(&format!("{flag} needs a positive integer")),
+            "{}",
+            stderr(&out)
+        );
+    }
 }
 
 #[test]
@@ -631,24 +633,57 @@ fn prune_report_without_applicable_regions_says_so() {
     );
 }
 
+/// `--stats` prints each round's batch digest, in decimal so it reads
+/// like the pinned `BUNDLED_BATCH_DIGESTS` table in
+/// `tests/determinism.rs` (this is its `simplest` row), and like it the
+/// digest does not depend on `--jobs`.
 #[test]
-fn bench_pool_reports_both_strategies() {
-    let path = write_scenario("bench.scenic", "ego = Object at 0 @ 0\n");
-    let out = run(&[
-        "bench-pool",
-        path.to_str().unwrap(),
-        "--world",
-        "bare",
-        "--jobs",
-        "2",
-    ]);
-    assert!(out.status.success(), "{}", stderr(&out));
-    let text = stdout(&out);
-    assert!(text.contains("jobs=2"), "{text}");
-    for batch in ["batch= 1", "batch= 8", "batch=64"] {
-        assert!(text.contains(batch), "missing {batch}: {text}");
+fn stats_print_the_jobs_invariant_batch_digest() {
+    let path = bundled("simplest.scenic");
+    let path = path.to_str().unwrap();
+    for jobs in ["1", "2"] {
+        let out = run(&[
+            "sample", path, "-n", "3", "--seed", "7", "--jobs", jobs, "--stats",
+        ]);
+        assert!(out.status.success(), "{}", stderr(&out));
+        let line = format!("batch digest: {path} round 0 seed 7: 11147000041812585473\n");
+        assert!(
+            stderr(&out).contains(&line),
+            "jobs {jobs}: {}",
+            stderr(&out)
+        );
     }
-    assert!(text.contains("scoped") && text.contains("pool"), "{text}");
+}
+
+/// The CLI keeps no hidden state: run with an environment holding only
+/// `HOME`, pointing at an empty directory, sampling, checking and
+/// linting leave that directory empty.
+#[test]
+fn sample_check_and_lint_write_nothing_under_home() {
+    let home = std::env::temp_dir().join(format!("scenic-cli-home-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&home);
+    std::fs::create_dir_all(&home).unwrap();
+    let path = bundled("simplest.scenic");
+    let path = path.to_str().unwrap();
+    for args in [
+        &["sample", path, "--stats"][..],
+        &["check", path],
+        &["lint", path],
+    ] {
+        let out = Command::new(scenic_bin())
+            .env_clear()
+            .env("HOME", &home)
+            .args(args)
+            .output()
+            .expect("failed to launch scenic binary");
+        assert!(out.status.success(), "{args:?}: {}", stderr(&out));
+    }
+    let left: Vec<_> = std::fs::read_dir(&home)
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .collect();
+    assert!(left.is_empty(), "the CLI wrote under HOME: {left:?}");
+    std::fs::remove_dir(&home).unwrap();
 }
 
 #[test]
@@ -716,7 +751,6 @@ fn engine_shows_in_stats_and_bogus_engine_is_rejected() {
 fn spawn_daemon() -> (std::process::Child, String) {
     use std::io::BufRead;
     let mut child = Command::new(scenic_bin())
-        .env("SCENIC_STORE", "off")
         .args(["serve", "--port", "0"])
         .stdout(std::process::Stdio::piped())
         .spawn()

@@ -188,58 +188,3 @@ fn batch_agrees_with_derived_seeded_draws() {
         assert_eq!(digest(scene), digest(&expected), "scene {i}");
     }
 }
-
-// ---------------------------------------------------------------------
-// The on-disk artifact store: every pinned digest must hold when the
-// scenario round-trips through the store (cold compile + write-back,
-// then a warm load in a fresh cache with zero compiles). If a digest
-// drifts only on the warm pass, the store's encode/decode lost part of
-// the scenario (program, prune plan, or world linkage).
-// ---------------------------------------------------------------------
-
-#[test]
-fn batch_digests_hold_through_the_disk_store() {
-    use std::sync::Arc;
-    let dir = std::env::temp_dir().join(format!("scenic-determinism-store-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    // Cold pass: a store-backed cache compiles and persists each
-    // bundled scenario; the digests must already match the table.
-    {
-        let store = Arc::new(ArtifactStore::open(&dir).unwrap());
-        let cache = ScenarioCache::with_store(store);
-        for (name, world_name, expected) in BUNDLED_BATCH_DIGESTS {
-            let source = bundled(name);
-            let scenario = cache
-                .get_or_compile(world_name, &source, bundled_world(world_name))
-                .unwrap_or_else(|e| panic!("{name}: {e}"));
-            let scenes = Sampler::new(&scenario)
-                .with_seed(7)
-                .sample_batch(3, 2)
-                .unwrap_or_else(|e| panic!("{name}: {e}"));
-            assert_eq!(batch_digest(&scenes), *expected, "{name}: cold digest");
-        }
-        assert_eq!(cache.misses(), BUNDLED_BATCH_DIGESTS.len());
-    }
-    // Warm pass: a fresh cache over the same directory must serve every
-    // scenario from disk — zero compiles — and reproduce the digests.
-    let store = Arc::new(ArtifactStore::open(&dir).unwrap());
-    let cache = ScenarioCache::with_store(Arc::clone(&store));
-    for (name, world_name, expected) in BUNDLED_BATCH_DIGESTS {
-        let source = bundled(name);
-        let scenario = cache
-            .get_or_compile(world_name, &source, bundled_world(world_name))
-            .unwrap_or_else(|e| panic!("{name}: {e}"));
-        let scenes = Sampler::new(&scenario)
-            .with_seed(7)
-            .sample_batch(3, 3)
-            .unwrap_or_else(|e| panic!("{name}: {e}"));
-        assert_eq!(
-            batch_digest(&scenes),
-            *expected,
-            "{name}: warm digest through the disk store"
-        );
-    }
-    assert_eq!(cache.misses(), 0, "warm pass must not compile anything");
-    assert_eq!(store.disk_hits(), BUNDLED_BATCH_DIGESTS.len());
-    let _ = std::fs::remove_dir_all(&dir);
-}
