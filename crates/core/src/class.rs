@@ -2,6 +2,7 @@
 
 use crate::env::EnvRef;
 use scenic_lang::ast::Expr;
+use std::cell::OnceCell;
 use std::rc::Rc;
 
 /// A class at runtime: its own default-value expressions plus a link to
@@ -18,6 +19,8 @@ pub struct RuntimeClass {
     /// Environment the class was defined in (default-value expressions
     /// evaluate here, with `self` bound per instance).
     pub env: EnvRef,
+    /// [`RuntimeClass::lineage`], built on first use.
+    lineage: OnceCell<Rc<[String]>>,
 }
 
 impl std::fmt::Debug for RuntimeClass {
@@ -27,15 +30,34 @@ impl std::fmt::Debug for RuntimeClass {
 }
 
 impl RuntimeClass {
-    /// Names from this class up to the root, most-derived first.
-    pub fn lineage(self: &Rc<Self>) -> Vec<String> {
-        let mut names = Vec::new();
-        let mut cur = Some(Rc::clone(self));
-        while let Some(c) = cur {
-            names.push(c.name.clone());
-            cur = c.superclass.clone();
+    /// Creates a class.
+    pub fn new(
+        name: String,
+        superclass: Option<Rc<RuntimeClass>>,
+        properties: Vec<(String, Expr)>,
+        env: EnvRef,
+    ) -> Self {
+        RuntimeClass {
+            name,
+            superclass,
+            properties,
+            env,
+            lineage: OnceCell::new(),
         }
-        names
+    }
+
+    /// Names from this class up to the root, most-derived first. Built
+    /// once per class; every instance shares it.
+    pub fn lineage(&self) -> Rc<[String]> {
+        Rc::clone(self.lineage.get_or_init(|| {
+            let mut names = vec![self.name.clone()];
+            let mut cur = self.superclass.as_deref();
+            while let Some(c) = cur {
+                names.push(c.name.clone());
+                cur = c.superclass.as_deref();
+            }
+            names.into()
+        }))
     }
 
     /// Whether this class descends from `name` (inclusive).
@@ -272,28 +294,30 @@ mod tests {
 
     fn class_chain() -> (Rc<RuntimeClass>, Rc<RuntimeClass>) {
         let env = crate::env::Scope::root();
-        let base = Rc::new(RuntimeClass {
-            name: "Object".into(),
-            superclass: None,
-            properties: vec![
+        let base = Rc::new(RuntimeClass::new(
+            "Object".into(),
+            None,
+            vec![
                 ("width".into(), Expr::Number(1.0)),
                 ("height".into(), Expr::Number(1.0)),
             ],
-            env: env.clone(),
-        });
-        let car = Rc::new(RuntimeClass {
-            name: "Car".into(),
-            superclass: Some(Rc::clone(&base)),
-            properties: vec![("width".into(), Expr::Number(2.0))],
+            env.clone(),
+        ));
+        let car = Rc::new(RuntimeClass::new(
+            "Car".into(),
+            Some(Rc::clone(&base)),
+            vec![("width".into(), Expr::Number(2.0))],
             env,
-        });
+        ));
         (base, car)
     }
 
     #[test]
     fn lineage_and_descent() {
         let (base, car) = class_chain();
-        assert_eq!(car.lineage(), vec!["Car".to_string(), "Object".to_string()]);
+        assert_eq!(&*car.lineage(), ["Car".to_string(), "Object".to_string()]);
+        // Memoized: every call shares one list.
+        assert!(Rc::ptr_eq(&car.lineage(), &car.lineage()));
         assert!(car.descends_from("Object"));
         assert!(!base.descends_from("Car"));
     }

@@ -63,6 +63,7 @@ use crate::early::EarlyPlan;
 use crate::env::{own_vars, EnvRef, Scope};
 use crate::error::RunResult;
 use crate::interp::{Interpreter, Scenario};
+use crate::object::PropName;
 use crate::prune::PrunePlan;
 use crate::scene::Scene;
 use crate::specifier::{ResolvedOrder, SpecMeta};
@@ -199,7 +200,7 @@ pub(crate) struct CachedDefault {
     /// Specifier metadata (name, specified property, `self` deps).
     pub(crate) meta: SpecMeta,
     /// The property the default assigns.
-    pub(crate) prop: String,
+    pub(crate) prop: PropName,
     /// The default expression, shared instead of deep-cloned.
     pub(crate) expr: Rc<Expr>,
 }

@@ -14,7 +14,7 @@ use crate::class::{self_dependencies, RuntimeClass, PRELUDE};
 use crate::early::EarlyPlan;
 use crate::env::{assign, clear, define, lookup, EnvRef, Scope};
 use crate::error::{Rejection, RunResult, ScenicError};
-use crate::object::{oriented_point, ObjData, ObjRef};
+use crate::object::{oriented_point, ObjData, ObjRef, PropName};
 use crate::prune::{self, PruneParams, PrunePlan};
 use crate::scene::{PropValue, Scene, SceneObject};
 use crate::specifier::{resolve, SpecMeta, SpecSource};
@@ -332,14 +332,6 @@ enum Action {
         expr: Expr,
         env: EnvRef,
     },
-    /// A class default-value expression, evaluated with `self` bound.
-    /// The expression is shared (`Rc`) with the compiled engine's
-    /// per-class cache, so staging a default costs no deep clone.
-    DefaultExpr {
-        prop: String,
-        expr: Rc<Expr>,
-        env: EnvRef,
-    },
     /// `using name(args)` — a user-defined specifier application. The
     /// body runs with `self` bound to the object under construction
     /// (its `requires` properties are already assigned) and must return
@@ -351,13 +343,14 @@ enum Action {
     },
 }
 
-/// Cheap classification of one prepared specifier entry — the only
+/// Cheap classification of one prepared explicit specifier — the only
 /// run-to-run variability in a construction site's metadata. At a
 /// fixed site (same specifier syntax) constructing a fixed class,
-/// equal shape vectors imply row-for-row identical [`SpecMeta`]s, so
-/// the staged Algorithm 1 resolution can be reused; `using` entries
-/// additionally validate the cached row against the callee's declared
-/// properties (see [`stage_matches`]).
+/// equal shape vectors imply row-for-row identical [`SpecMeta`]s (the
+/// class default rows are fixed by the class), so the staged
+/// Algorithm 1 resolution can be reused; `using` entries additionally
+/// validate the cached row against the callee's declared properties
+/// (see [`stage_matches`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum ActionShape {
     /// Values known up front; the count disambiguates a region draw
@@ -375,8 +368,6 @@ pub(crate) enum ActionShape {
     ApparentlyFacing,
     /// A `self`-dependent argument deferred until `position` is known.
     Deferred,
-    /// A class default value.
-    Default,
     /// A user-defined specifier application.
     User,
 }
@@ -391,7 +382,6 @@ impl Action {
             Action::FacingToward { .. } => ActionShape::FacingToward,
             Action::ApparentlyFacing { .. } => ActionShape::ApparentlyFacing,
             Action::DeferredExpr { .. } => ActionShape::Deferred,
-            Action::DefaultExpr { .. } => ActionShape::Default,
             Action::UserSpec { .. } => ActionShape::User,
         }
     }
@@ -663,12 +653,12 @@ impl<'s, 'r> Interpreter<'s, 'r> {
                     None if cd.name == "Point" => None,
                     None => Some(self.lookup_class("Object", env, line)?),
                 };
-                let class = Rc::new(RuntimeClass {
-                    name: cd.name.clone(),
+                let class = Rc::new(RuntimeClass::new(
+                    cd.name.clone(),
                     superclass,
-                    properties: cd.properties.clone(),
-                    env: env.clone(),
-                });
+                    cd.properties.clone(),
+                    env.clone(),
+                ));
                 define(env, &cd.name, Value::Class(class));
             }
             StmtKind::Expr(expr) => {
@@ -1392,19 +1382,13 @@ impl<'s, 'r> Interpreter<'s, 'r> {
         let saved_self = self.current_self.take();
         let prepared = self.prepare_specifiers(specifiers, env);
         self.current_self = saved_self;
-        let mut actions = prepared?;
+        let actions = prepared?;
 
         // Class default-value specifiers (staged once per class by the
         // compiled engine; rebuilt per construction under the AST
-        // engine).
+        // engine). They follow the explicit specifiers in the stage's
+        // rows: row `actions.len() + k` is `defaults[k]`.
         let defaults = self.class_defaults(&class);
-        for d in defaults.iter() {
-            actions.push(Action::DefaultExpr {
-                prop: d.prop.clone(),
-                expr: Rc::clone(&d.expr),
-                env: class.env.clone(),
-            });
-        }
 
         // Specifier metadata + Algorithm 1 resolution, staged per site
         // under the compiled engine.
@@ -1418,22 +1402,46 @@ impl<'s, 'r> Interpreter<'s, 'r> {
         }));
 
         let saved_self = self.current_self.replace(Rc::clone(&obj));
+        // Every default evaluates in the class's scope with `self` bound.
+        // Expressions never define names, so one such scope serves all
+        // of this object's defaults.
+        let mut default_scope = None;
         let result = (|| -> RunResult<()> {
             for (idx, props) in &stage.order.order {
-                let values = self.eval_action(&actions[*idx], &obj)?;
-                for prop in props {
-                    let value = values
-                        .iter()
-                        .find(|(p, _)| p == prop)
-                        .map(|(_, v)| v.clone())
-                        .ok_or_else(|| ScenicError::Specifier {
-                            message: format!(
-                                "specifier `{}` did not produce property `{prop}`",
-                                stage.metas[*idx].name
-                            ),
-                            class: class.name.clone(),
-                        })?;
-                    obj.borrow_mut().set(prop, value);
+                let not_produced = |prop: &PropName| ScenicError::Specifier {
+                    message: format!(
+                        "specifier `{}` did not produce property `{prop}`",
+                        stage.metas[*idx].name
+                    ),
+                    class: class.name.clone(),
+                };
+                match idx.checked_sub(actions.len()).map(|k| &defaults[k]) {
+                    // An explicit specifier: its action yields named values.
+                    None => {
+                        let values = self.eval_action(&actions[*idx], &obj)?;
+                        for prop in props {
+                            let value = values
+                                .iter()
+                                .find(|(p, _)| **p == **prop)
+                                .map(|(_, v)| v.clone())
+                                .ok_or_else(|| not_produced(prop))?;
+                            obj.borrow_mut().set(Rc::clone(prop), value);
+                        }
+                    }
+                    // A class default: its one value goes straight into
+                    // the object.
+                    Some(default) => {
+                        let scope = default_scope.get_or_insert_with(|| {
+                            Scope::child_with_self(&class.env, Value::Object(Rc::clone(&obj)))
+                        });
+                        let value = self.eval(&default.expr, scope)?;
+                        for prop in props {
+                            if *prop != default.prop {
+                                return Err(not_produced(prop));
+                            }
+                            obj.borrow_mut().set(Rc::clone(prop), value.clone());
+                        }
+                    }
                 }
             }
             Ok(())
@@ -1822,12 +1830,6 @@ impl<'s, 'r> Interpreter<'s, 'r> {
                 let v = self.eval(expr, env)?;
                 Ok(vec![(prop.clone(), v)])
             }
-            Action::DefaultExpr { prop, expr, env } => {
-                let local = Scope::child(env);
-                define(&local, "self", Value::Object(Rc::clone(obj)));
-                let v = self.eval(expr.as_ref(), &local)?;
-                Ok(vec![(prop.clone(), v)])
-            }
             Action::UserSpec { spec, args, kwargs } => {
                 let values = self.run_user_specifier(spec, args, kwargs, obj)?;
                 Ok(values)
@@ -1857,8 +1859,7 @@ impl<'s, 'r> Interpreter<'s, 'r> {
                 args.len()
             )));
         }
-        let local = Scope::child(&spec.closure);
-        define(&local, "self", Value::Object(Rc::clone(obj)));
+        let local = Scope::child_with_self(&spec.closure, Value::Object(Rc::clone(obj)));
         for (i, (pname, default)) in def.params.iter().enumerate() {
             let value = if i < args.len() {
                 args[i].clone()
@@ -2184,7 +2185,7 @@ fn stage_class_defaults(class: &Rc<RuntimeClass>) -> Vec<crate::compile::CachedD
                 deps: self_dependencies(&expr),
                 source: SpecSource::Default,
             },
-            prop,
+            prop: prop.into(),
             expr: Rc::new(expr),
         })
         .collect()

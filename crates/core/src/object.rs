@@ -12,15 +12,21 @@ use std::rc::Rc;
 /// Shared reference to an instance.
 pub type ObjRef = Rc<RefCell<ObjData>>;
 
+/// A property name. Construction clones names out of staged, per-class
+/// tables (the resolved specifier order and the class defaults), so a
+/// property write costs a reference-count bump, not a string copy.
+pub type PropName = Rc<str>;
+
 /// The state of an instance: its class and property assignments.
 #[derive(Debug, Clone)]
 pub struct ObjData {
     /// Class name (most derived).
     pub class_name: String,
-    /// Chain of class names from most derived to `Point`.
-    pub lineage: Vec<String>,
-    /// Property values.
-    pub properties: BTreeMap<String, Value>,
+    /// Chain of class names from most derived to `Point`, shared with
+    /// the class (see [`crate::class::RuntimeClass::lineage`]).
+    pub lineage: Rc<[String]>,
+    /// Property values, in name order (the order scenes list them in).
+    pub properties: BTreeMap<PropName, Value>,
     /// Creation index within the run (stable identity for scenes).
     pub id: usize,
 }
@@ -40,7 +46,7 @@ impl ObjData {
     }
 
     /// Writes a property.
-    pub fn set(&mut self, name: impl Into<String>, value: Value) {
+    pub fn set(&mut self, name: impl Into<PropName>, value: Value) {
         self.properties.insert(name.into(), value);
     }
 
@@ -114,16 +120,13 @@ impl ObjData {
 /// `front of O` that return oriented points, Fig. 35).
 pub fn oriented_point(position: Vec2, heading: f64) -> ObjRef {
     let mut properties = BTreeMap::new();
-    properties.insert("position".to_string(), Value::Vector(position));
-    properties.insert("heading".to_string(), Value::Number(heading));
-    properties.insert("viewDistance".to_string(), Value::Number(50.0));
-    properties.insert(
-        "viewAngle".to_string(),
-        Value::Number(std::f64::consts::TAU),
-    );
+    properties.insert("position".into(), Value::Vector(position));
+    properties.insert("heading".into(), Value::Number(heading));
+    properties.insert("viewDistance".into(), Value::Number(50.0));
+    properties.insert("viewAngle".into(), Value::Number(std::f64::consts::TAU));
     Rc::new(RefCell::new(ObjData {
         class_name: "OrientedPoint".to_string(),
-        lineage: vec!["OrientedPoint".to_string(), "Point".to_string()],
+        lineage: Rc::new(["OrientedPoint".to_string(), "Point".to_string()]),
         properties,
         id: usize::MAX,
     }))
@@ -141,12 +144,12 @@ mod tests {
         properties.insert("height".into(), Value::Number(4.0));
         Rc::new(RefCell::new(ObjData {
             class_name: "Car".into(),
-            lineage: vec![
+            lineage: Rc::new([
                 "Car".into(),
                 "Object".into(),
                 "OrientedPoint".into(),
                 "Point".into(),
-            ],
+            ]),
             properties,
             id: 0,
         }))

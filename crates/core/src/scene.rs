@@ -105,10 +105,10 @@ impl SceneObject {
         let position = data.position().unwrap_or(Vec2::ZERO);
         let mut properties = BTreeMap::new();
         for (k, v) in &data.properties {
-            if k == "position" || k == "heading" || k == "width" || k == "height" {
+            if matches!(&**k, "position" | "heading" | "width" | "height") {
                 continue;
             }
-            properties.insert(k.clone(), PropValue::from_value(v));
+            properties.insert(k.to_string(), PropValue::from_value(v));
         }
         SceneObject {
             id: data.id,

@@ -17,6 +17,7 @@
 //! (step 5) happens in the interpreter.
 
 use crate::error::{RunResult, ScenicError};
+use crate::object::PropName;
 
 /// Where a specifier came from (priority order of Algorithm 1 step 3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -50,7 +51,9 @@ pub struct SpecMeta {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ResolvedOrder {
     /// `(specifier index, properties to assign)` in evaluation order.
-    pub order: Vec<(usize, Vec<String>)>,
+    /// The names are the ones objects are keyed by: construction clones
+    /// them from here.
+    pub order: Vec<(usize, Vec<PropName>)>,
 }
 
 /// Runs Algorithm 1 over the given specifiers (explicit specifiers must
@@ -170,10 +173,10 @@ pub fn resolve(class: &str, specs: &[SpecMeta]) -> RunResult<ResolvedOrder> {
             Some(k) => {
                 let i = remaining.remove(k);
                 done.insert(i);
-                let props: Vec<String> = spec_for_property
+                let props: Vec<PropName> = spec_for_property
                     .iter()
                     .filter(|&&(_, s)| s == i)
-                    .map(|(p, _)| p.clone())
+                    .map(|(p, _)| PropName::from(p.as_str()))
                     .collect();
                 order.push((i, props));
             }
@@ -272,7 +275,7 @@ mod tests {
         let heading_owner = r
             .order
             .iter()
-            .find(|(_, props)| props.contains(&"heading".to_string()))
+            .find(|(_, props)| props.iter().any(|p| &**p == "heading"))
             .unwrap()
             .0;
         assert_eq!(heading_owner, 1);
@@ -322,7 +325,7 @@ mod tests {
         let heading_owner = r
             .order
             .iter()
-            .find(|(_, props)| props.contains(&"heading".to_string()))
+            .find(|(_, props)| props.iter().any(|p| &**p == "heading"))
             .unwrap()
             .0;
         assert_eq!(heading_owner, 0);

@@ -4,6 +4,11 @@ use crate::vec2::{point_segment_distance, segment_intersection};
 use crate::{Aabb, Vec2};
 use serde::{Deserialize, Serialize};
 
+/// How far outside its bounding box [`Polygon::contains`] still runs the
+/// exact tests: far above [`crate::EPSILON`], the boundary tolerance, and
+/// far above the rounding error of coordinates on the scale of a map.
+const CONTAINS_MARGIN: f64 = 1e-6;
+
 /// A simple polygon, stored as a ring of vertices in anticlockwise order.
 ///
 /// Constructors normalize the winding; self-intersecting rings are not
@@ -113,12 +118,25 @@ impl Polygon {
         Vec2::new(cx / (3.0 * a), cy / (3.0 * a))
     }
 
-    /// Point-in-polygon test (even-odd crossing rule); boundary points
-    /// count as inside.
+    /// Point-in-polygon test (even-odd crossing rule); points within
+    /// [`crate::EPSILON`] of the boundary count as inside.
+    ///
+    /// The tests run cheapest first, and the result is the same boolean
+    /// as `distance_to_boundary(p) < EPSILON || crossing(p)`. A point
+    /// outside the bounding box inflated by `CONTAINS_MARGIN` (1e-6) is
+    /// farther than that margin (far above `EPSILON`) from every edge,
+    /// and its horizontal ray crosses the ring an even number of times
+    /// or not at all, so both terms are false and it is rejected
+    /// without either test. Otherwise the crossing test decides, and
+    /// only a point it puts outside pays for the per-edge distance.
     pub fn contains(&self, p: Vec2) -> bool {
-        if self.distance_to_boundary(p) < crate::EPSILON {
-            return true;
-        }
+        self.aabb().inflated(CONTAINS_MARGIN).contains(p)
+            && (self.crossing(p) || self.distance_to_boundary(p) < crate::EPSILON)
+    }
+
+    /// The even-odd crossing rule: whether a ray from `p` towards +x
+    /// crosses the ring an odd number of times.
+    fn crossing(&self, p: Vec2) -> bool {
         let mut inside = false;
         for (a, b) in self.edges() {
             if (a.y > p.y) != (b.y > p.y) {
@@ -232,6 +250,107 @@ fn signed_area(vertices: &[Vec2]) -> f64 {
 mod tests {
     use super::*;
     use crate::Heading;
+    use proptest::prelude::*;
+
+    /// The oracle for [`Polygon::contains`]: the same tests in the
+    /// original order, boundary distance first.
+    fn contains_distance_first(poly: &Polygon, p: Vec2) -> bool {
+        poly.distance_to_boundary(p) < crate::EPSILON || poly.crossing(p)
+    }
+
+    /// The concave L-shape of `concave_containment`, scaled.
+    fn l_shape(size: f64) -> Polygon {
+        Polygon::new(
+            [
+                (0.0, 0.0),
+                (2.0, 0.0),
+                (2.0, 1.0),
+                (1.0, 1.0),
+                (1.0, 2.0),
+                (0.0, 2.0),
+            ]
+            .iter()
+            .map(|&(x, y)| Vec2::new(x, y) * size)
+            .collect(),
+        )
+    }
+
+    /// Points that probe every branch of `contains`: each vertex; a point
+    /// on each edge and points off it by `1e-9` and `1e-6` (the tolerance
+    /// and the box margin) and just either side of those; points spread
+    /// over the box and a ring around it; the inflated box's edges; and
+    /// far-away points. `t` and `s` (in `[0, 1]`) pick positions.
+    fn probes(poly: &Polygon, t: f64, s: f64) -> Vec<Vec2> {
+        let mut points = Vec::new();
+        for (a, b) in poly.edges() {
+            points.push(a);
+            let on_edge = a + (b - a) * t;
+            points.push(on_edge);
+            let normal = (b - a).rotated(std::f64::consts::FRAC_PI_2) / (b - a).norm();
+            for d in [1e-9, 0.9e-9, 1.1e-9, 1e-6, 0.9e-6, 1.1e-6, 1e-3] {
+                points.push(on_edge + normal * d);
+                points.push(on_edge - normal * d);
+            }
+        }
+        let bb = poly.aabb();
+        let (w, h) = (bb.width(), bb.height());
+        for k in 0..5 {
+            let f = k as f64 / 4.0;
+            points.push(bb.min + Vec2::new(w * t, h * f));
+            points.push(bb.min + Vec2::new(w * f, h * s));
+            // A ring around the box, a quarter of its size out.
+            points.push(bb.min + Vec2::new(w * (1.5 * f - 0.25), -0.25 * h));
+            points.push(bb.min + Vec2::new(-0.25 * w, h * (1.5 * f - 0.25)));
+        }
+        for margin in [
+            CONTAINS_MARGIN,
+            0.9 * CONTAINS_MARGIN,
+            1.1 * CONTAINS_MARGIN,
+        ] {
+            let outer = bb.inflated(margin);
+            points.push(Vec2::new(outer.min.x, bb.min.y + h * s));
+            points.push(Vec2::new(outer.max.x, bb.min.y + h * s));
+            points.push(Vec2::new(bb.min.x + w * t, outer.min.y));
+            points.push(Vec2::new(bb.min.x + w * t, outer.max.y));
+        }
+        for far in [
+            Vec2::new(1e4, 0.0),
+            Vec2::new(-3e3, 7e3),
+            Vec2::new(0.0, -1e5),
+        ] {
+            points.push(bb.center() + far);
+        }
+        points
+    }
+
+    proptest! {
+        #[test]
+        fn cheapest_first_contains_matches_distance_first(
+            shape in 0u8..4,
+            cx in -500.0..500.0f64,
+            cy in -500.0..500.0f64,
+            size in 0.01..40.0f64,
+            aspect in 0.1..10.0f64,
+            theta in -3.2..3.2f64,
+            n in 3usize..16,
+            t in 0.0..1.0f64,
+            s in 0.0..1.0f64,
+        ) {
+            let center = Vec2::new(cx, cy);
+            let poly = match shape {
+                0 => Polygon::rectangle(center, size, size * aspect),
+                1 => Polygon::rectangle(center, size, size * aspect).rotated_about(center, theta),
+                2 => Polygon::regular(center, size, n),
+                _ => l_shape(size).rotated_about(Vec2::ZERO, theta).translated(center),
+            };
+            for p in probes(&poly, t, s) {
+                prop_assert!(
+                    poly.contains(p) == contains_distance_first(&poly, p),
+                    "{p} against {poly:?}"
+                );
+            }
+        }
+    }
 
     fn unit_square() -> Polygon {
         Polygon::rectangle(Vec2::new(0.5, 0.5), 1.0, 1.0)

@@ -86,6 +86,37 @@ fn bare_world_digest_is_stable() {
     );
 }
 
+/// A class default that constructs a nested object reading the outer
+/// object's `self`: the `Point` in `anchor` is built while `Crate` is
+/// under construction, and its `at` argument sees the `Crate` through
+/// the scope chain.
+const NESTED_SELF: &str = "\
+class Crate(Object):
+    width: (1, 3)
+    anchor: Point at (self.width @ (0, 1))
+ego = Crate at 0 @ 0
+c = Crate at 10 @ 0
+require c.anchor.position.x > 1.5
+";
+
+#[test]
+fn nested_self_digest_is_stable_on_both_engines() {
+    let scenario = compile(NESTED_SELF).unwrap();
+    for engine in [Engine::Compiled, Engine::Ast] {
+        let scenes = Sampler::new(&scenario)
+            .with_engine(engine)
+            .with_seed(3)
+            .sample_batch(3, 1)
+            .unwrap();
+        assert_eq!(
+            batch_digest(&scenes),
+            8655506070621154411,
+            "{engine}: nested-construction digest drifted: a default's \
+             `self` binding or the construction order changed"
+        );
+    }
+}
+
 #[test]
 fn distinct_seeds_produce_distinct_scenes() {
     let world = World::generate(MapConfig::default());
