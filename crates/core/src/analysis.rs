@@ -313,7 +313,7 @@ impl AbsValue {
 struct ClassInfo {
     superclass: Option<String>,
     /// `property: defaultExpr` pairs of this class only.
-    properties: Vec<(String, Expr)>,
+    properties: Vec<(String, std::sync::Arc<Expr>)>,
 }
 
 /// Classes across prelude + user program + module libraries, with the

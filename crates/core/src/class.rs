@@ -4,6 +4,7 @@ use crate::env::EnvRef;
 use scenic_lang::ast::Expr;
 use std::cell::OnceCell;
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// A class at runtime: its own default-value expressions plus a link to
 /// its superclass. Default values are *expressions* evaluated per
@@ -14,8 +15,9 @@ pub struct RuntimeClass {
     pub name: String,
     /// Superclass (`None` only for `Point`).
     pub superclass: Option<Rc<RuntimeClass>>,
-    /// Own `property: defaultValueExpr` pairs in declaration order.
-    pub properties: Vec<(String, Expr)>,
+    /// Own `property: defaultValueExpr` pairs in declaration order,
+    /// the expressions shared with the class definition.
+    pub properties: Vec<(String, Arc<Expr>)>,
     /// Environment the class was defined in (default-value expressions
     /// evaluate here, with `self` bound per instance).
     pub env: EnvRef,
@@ -34,7 +36,7 @@ impl RuntimeClass {
     pub fn new(
         name: String,
         superclass: Option<Rc<RuntimeClass>>,
-        properties: Vec<(String, Expr)>,
+        properties: Vec<(String, Arc<Expr>)>,
         env: EnvRef,
     ) -> Self {
         RuntimeClass {
@@ -75,7 +77,7 @@ impl RuntimeClass {
     /// The *most-derived* default expression for each property across
     /// the hierarchy, in stable order (base-class properties first, so
     /// `position` precedes user-added ones).
-    pub fn defaults(self: &Rc<Self>) -> Vec<(String, Expr)> {
+    pub fn defaults(self: &Rc<Self>) -> Vec<(String, Arc<Expr>)> {
         let mut chain = Vec::new();
         let mut cur = Some(Rc::clone(self));
         while let Some(c) = cur {
@@ -84,13 +86,14 @@ impl RuntimeClass {
         }
         // Walk base-first; later (more-derived) definitions override.
         let mut order: Vec<String> = Vec::new();
-        let mut map: std::collections::HashMap<String, Expr> = std::collections::HashMap::new();
+        let mut map: std::collections::HashMap<String, Arc<Expr>> =
+            std::collections::HashMap::new();
         for class in chain.iter().rev() {
             for (prop, expr) in &class.properties {
                 if !map.contains_key(prop) {
                     order.push(prop.clone());
                 }
-                map.insert(prop.clone(), expr.clone());
+                map.insert(prop.clone(), Arc::clone(expr));
             }
         }
         order
@@ -298,15 +301,15 @@ mod tests {
             "Object".into(),
             None,
             vec![
-                ("width".into(), Expr::Number(1.0)),
-                ("height".into(), Expr::Number(1.0)),
+                ("width".into(), Arc::new(Expr::Number(1.0))),
+                ("height".into(), Arc::new(Expr::Number(1.0))),
             ],
             env.clone(),
         ));
         let car = Rc::new(RuntimeClass::new(
             "Car".into(),
             Some(Rc::clone(&base)),
-            vec![("width".into(), Expr::Number(2.0))],
+            vec![("width".into(), Arc::new(Expr::Number(2.0)))],
             env,
         ));
         (base, car)
@@ -327,7 +330,7 @@ mod tests {
         let (_, car) = class_chain();
         let defaults = car.defaults();
         let width = defaults.iter().find(|(p, _)| p == "width").unwrap();
-        assert_eq!(width.1, Expr::Number(2.0));
+        assert_eq!(*width.1, Expr::Number(2.0));
         assert_eq!(defaults.len(), 2);
         // Base-first ordering.
         assert_eq!(defaults[0].0, "width");

@@ -5,9 +5,10 @@
 //! re-executes, for *every* rejection-sampling candidate: the builtin
 //! installation, the prelude (the `Point`/`OrientedPoint`/`Object`
 //! class definitions), and every auto-imported library module — plus,
-//! per object construction, a deep clone of every class default
-//! expression, a `self`-dependency walk over each of them, and a fresh
-//! topological sort of the specifier graph (Algorithm 1). None of that
+//! per object construction, a walk up the superclass chain collecting
+//! every class default expression, a `self`-dependency walk over each
+//! of them, and a fresh topological sort of the specifier graph
+//! (Algorithm 1) with the property layout it implies. None of that
 //! depends on the candidate's random draws, so the lowering pass stages
 //! it once per scenario:
 //!
@@ -25,11 +26,12 @@
 //!   in a fresh child scope of that base.
 //! - **Construction staging** caches, per library class, the staged
 //!   default-value specifiers (an `Rc` clone per candidate instead of a
-//!   deep expression clone plus dependency walk) and, per construction
-//!   *site*, the specifier metadata rows plus their Algorithm 1
-//!   resolution (`CtorStage`) — revalidated each candidate by a cheap
-//!   per-entry shape tag, since metadata depends only on the specifier
-//!   syntax and that classification, never on the values drawn.
+//!   rebuilt list plus dependency walk) and, per construction *site*,
+//!   the specifier metadata rows, their Algorithm 1 resolution and the
+//!   property layout it implies (`CtorStage`) — revalidated each
+//!   candidate by a cheap per-entry shape tag, since metadata depends
+//!   only on the specifier syntax and that classification, never on the
+//!   values drawn.
 //!
 //! # Why the RNG stream is identical
 //!
@@ -63,7 +65,7 @@ use crate::early::EarlyPlan;
 use crate::env::{own_vars, EnvRef, Scope};
 use crate::error::RunResult;
 use crate::interp::{Interpreter, Scenario};
-use crate::object::PropName;
+use crate::object::{Layout, PropName};
 use crate::prune::PrunePlan;
 use crate::scene::Scene;
 use crate::specifier::{ResolvedOrder, SpecMeta};
@@ -173,16 +175,24 @@ pub(crate) struct ExecCache {
     pub(crate) defaults: RefCell<HashMap<usize, Rc<Vec<CachedDefault>>>>,
     /// Staged construction sites keyed by `(specifier-list pointer,
     /// class pointer)`. Both pointers are stable for the cache's
-    /// lifetime: the specifier list lives in the folded program this
-    /// cache was built for, and only classes living in `base_env`
-    /// (which this cache keeps alive) are staged.
+    /// lifetime: only classes living in `base_env` (which this cache
+    /// keeps alive) are staged, and every specifier list lives in the
+    /// folded program this cache was built for. That holds because
+    /// running a program never copies its syntax: `def` and `specifier`
+    /// values, class defaults and deferred `require`s share their
+    /// definitions with the program (`Arc`s in the AST), and a deferred
+    /// specifier argument borrows its expression. A copied site would
+    /// get a fresh address per candidate, growing the cache, and a
+    /// freed copy's address could be reused by another site, running
+    /// that site's stage.
     pub(crate) ctors: RefCell<HashMap<(usize, usize), Rc<CtorStage>>>,
 }
 
 /// One staged construction site: the specifier metadata (explicit
-/// entries first, then class defaults) and the Algorithm 1 resolution
-/// over it, built on the first construction and reused by every later
-/// candidate whose per-run specifier classification matches.
+/// entries first, then class defaults), the Algorithm 1 resolution over
+/// it and the layout of the objects it builds, built on the first
+/// construction and reused by every later candidate whose per-run
+/// specifier classification matches.
 pub(crate) struct CtorStage {
     /// Per-entry classification fingerprint validating reuse — the only
     /// run-to-run variability in a site's metadata (see
@@ -192,6 +202,12 @@ pub(crate) struct CtorStage {
     pub(crate) metas: Vec<SpecMeta>,
     /// The resolved specifier order over `metas`.
     pub(crate) order: ResolvedOrder,
+    /// The names `order` assigns: every object built here starts with
+    /// this layout.
+    pub(crate) layout: Rc<Layout>,
+    /// The slot in `layout` of each property `order` assigns, row by row
+    /// in order.
+    pub(crate) slots: Vec<usize>,
 }
 
 /// One staged class-default specifier: precomputed metadata plus the
@@ -201,8 +217,8 @@ pub(crate) struct CachedDefault {
     pub(crate) meta: SpecMeta,
     /// The property the default assigns.
     pub(crate) prop: PropName,
-    /// The default expression, shared instead of deep-cloned.
-    pub(crate) expr: Rc<Expr>,
+    /// The default expression, shared with the class definition.
+    pub(crate) expr: Arc<Expr>,
 }
 
 /// Lowers a scenario: constant-folds every program and computes the
@@ -433,31 +449,31 @@ fn fold_stmt(stmt: &Stmt) -> Stmt {
             properties: cd
                 .properties
                 .iter()
-                .map(|(p, e)| (p.clone(), fold_expr(e)))
+                .map(|(p, e)| (p.clone(), Arc::new(fold_expr(e))))
                 .collect(),
         }),
         StmtKind::Expr(e) => StmtKind::Expr(fold_expr(e)),
         StmtKind::Require { prob, cond } => StmtKind::Require {
             prob: prob.as_ref().map(fold_expr),
-            cond: fold_expr(cond),
+            cond: Arc::new(fold_expr(cond)),
         },
         StmtKind::Mutate { targets, scale } => StmtKind::Mutate {
             targets: targets.clone(),
             scale: scale.as_ref().map(fold_expr),
         },
-        StmtKind::FuncDef(fd) => StmtKind::FuncDef(FuncDef {
+        StmtKind::FuncDef(fd) => StmtKind::FuncDef(Arc::new(FuncDef {
             name: fd.name.clone(),
             params: fold_params(&fd.params),
             body: fold_block(&fd.body),
-        }),
-        StmtKind::SpecifierDef(sd) => StmtKind::SpecifierDef(SpecifierDef {
+        })),
+        StmtKind::SpecifierDef(sd) => StmtKind::SpecifierDef(Arc::new(SpecifierDef {
             name: sd.name.clone(),
             params: fold_params(&sd.params),
             specifies: sd.specifies.clone(),
             optional: sd.optional.clone(),
             requires: sd.requires.clone(),
             body: fold_block(&sd.body),
-        }),
+        })),
         StmtKind::Return(e) => StmtKind::Return(e.as_ref().map(fold_expr)),
         StmtKind::If {
             branches,
@@ -1151,6 +1167,32 @@ mod tests {
         .run_main()
         .unwrap();
         assert!(scope.upgrade().is_none(), "candidate scope leaked");
+    }
+
+    #[test]
+    fn runtime_syntax_stages_each_construction_site_once() {
+        // Library-class constructions inside a `def` body, a user class
+        // default and a `require` deferred to termination (its condition
+        // draws). Each candidate runs all three again; none may copy its
+        // site, or the stage cache would take a new key per candidate.
+        let scenario = crate::compile(
+            "class Crate(Object):\n    anchor: Point at 1 @ 1\n\
+             def f():\n    return Object at 0 @ (2, 3)\n\
+             ego = Crate at 0 @ -2\na = f()\n\
+             require (Point at (0, 1) @ 0).position.x < 5\n",
+        )
+        .unwrap();
+        let compiled = scenario.compiled();
+        let base = compiled.base().expect("hoists");
+        let mut rng = StdRng::seed_from_u64(0);
+        let mut staged = Vec::new();
+        for _ in 0..20 {
+            compiled
+                .generate(&mut rng, None, scenario.early_plan())
+                .unwrap();
+            staged.push(base.cache.ctors.borrow().len());
+        }
+        assert_eq!(staged, vec![3; 20]);
     }
 
     #[test]

@@ -14,7 +14,7 @@ use crate::class::{self_dependencies, RuntimeClass, PRELUDE};
 use crate::early::EarlyPlan;
 use crate::env::{assign, clear, define, lookup, EnvRef, Scope};
 use crate::error::{Rejection, RunResult, ScenicError};
-use crate::object::{oriented_point, ObjData, ObjRef, PropName};
+use crate::object::{oriented_point, Layout, ObjData, ObjRef, PropName};
 use crate::prune::{self, PruneParams, PrunePlan};
 use crate::scene::{PropValue, Scene, SceneObject};
 use crate::specifier::{resolve, SpecMeta, SpecSource};
@@ -304,7 +304,9 @@ enum Flow {
 }
 
 /// How to produce a specifier's property values at evaluation time.
-enum Action {
+/// Borrows from the construction site's specifiers (`'a`), so no
+/// candidate copies a site's syntax.
+enum Action<'a> {
     /// Values already computed (argument expressions have no
     /// dependencies on the object under construction).
     Const(Vec<(String, Value)>),
@@ -328,8 +330,8 @@ enum Action {
     /// An argument that mentioned a vector field in heading position;
     /// deferred until `position` is known.
     DeferredExpr {
-        prop: String,
-        expr: Expr,
+        prop: &'a str,
+        expr: &'a Expr,
         env: EnvRef,
     },
     /// `using name(args)` — a user-defined specifier application. The
@@ -372,7 +374,7 @@ pub(crate) enum ActionShape {
     User,
 }
 
-impl Action {
+impl Action<'_> {
     fn shape(&self) -> ActionShape {
         match self {
             Action::Const(values) => ActionShape::Const(values.len()),
@@ -388,7 +390,7 @@ impl Action {
 }
 
 struct DeferredRequirement {
-    cond: Expr,
+    cond: Arc<Expr>,
     env: EnvRef,
     line: u32,
 }
@@ -688,7 +690,7 @@ impl<'s, 'r> Interpreter<'s, 'r> {
                 };
                 if enforce {
                     self.requirements.push(DeferredRequirement {
-                        cond: cond.clone(),
+                        cond: Arc::clone(cond),
                         env: env.clone(),
                         line,
                     });
@@ -719,7 +721,7 @@ impl<'s, 'r> Interpreter<'s, 'r> {
                     env,
                     &fd.name,
                     Value::Function(Rc::new(crate::value::UserFunc {
-                        def: fd.clone(),
+                        def: Arc::clone(fd),
                         closure: env.clone(),
                     })),
                 );
@@ -729,7 +731,7 @@ impl<'s, 'r> Interpreter<'s, 'r> {
                     env,
                     &sd.name,
                     Value::Specifier(Rc::new(crate::value::UserSpecifier {
-                        def: sd.clone(),
+                        def: Arc::clone(sd),
                         closure: env.clone(),
                     })),
                 );
@@ -1251,7 +1253,7 @@ impl<'s, 'r> Interpreter<'s, 'r> {
         let receiver = self.eval(obj, env)?;
         match receiver.unwrap_sample() {
             Value::Object(o) => o.borrow().get(name).ok_or_else(|| ScenicError::Undefined {
-                name: format!("{}.{}", o.borrow().class_name, name),
+                name: format!("{}.{}", o.borrow().class_name(), name),
                 line: 0,
             }),
             Value::Dict(d) => dict_get(d, name).ok_or_else(|| ScenicError::Undefined {
@@ -1394,18 +1396,18 @@ impl<'s, 'r> Interpreter<'s, 'r> {
         // under the compiled engine.
         let stage = self.ctor_stage(specifiers, &class, &actions, &defaults)?;
 
-        let obj: ObjRef = Rc::new(RefCell::new(ObjData {
-            class_name: class.name.clone(),
-            lineage: class.lineage(),
-            properties: BTreeMap::new(),
-            id: self.next_id,
-        }));
+        let obj: ObjRef = Rc::new(RefCell::new(ObjData::new(
+            class.lineage(),
+            Rc::clone(&stage.layout),
+            self.next_id,
+        )));
 
         let saved_self = self.current_self.replace(Rc::clone(&obj));
         // Every default evaluates in the class's scope with `self` bound.
         // Expressions never define names, so one such scope serves all
         // of this object's defaults.
         let mut default_scope = None;
+        let mut slots = stage.slots.iter().copied();
         let result = (|| -> RunResult<()> {
             for (idx, props) in &stage.order.order {
                 let not_produced = |prop: &PropName| ScenicError::Specifier {
@@ -1419,13 +1421,13 @@ impl<'s, 'r> Interpreter<'s, 'r> {
                     // An explicit specifier: its action yields named values.
                     None => {
                         let values = self.eval_action(&actions[*idx], &obj)?;
-                        for prop in props {
+                        for (prop, slot) in props.iter().zip(&mut slots) {
                             let value = values
                                 .iter()
                                 .find(|(p, _)| **p == **prop)
                                 .map(|(_, v)| v.clone())
                                 .ok_or_else(|| not_produced(prop))?;
-                            obj.borrow_mut().set(Rc::clone(prop), value);
+                            obj.borrow_mut().set_slot(&stage.layout, slot, value);
                         }
                     }
                     // A class default: its one value goes straight into
@@ -1435,11 +1437,12 @@ impl<'s, 'r> Interpreter<'s, 'r> {
                             Scope::child_with_self(&class.env, Value::Object(Rc::clone(&obj)))
                         });
                         let value = self.eval(&default.expr, scope)?;
-                        for prop in props {
+                        for (prop, slot) in props.iter().zip(&mut slots) {
                             if *prop != default.prop {
                                 return Err(not_produced(prop));
                             }
-                            obj.borrow_mut().set(Rc::clone(prop), value.clone());
+                            obj.borrow_mut()
+                                .set_slot(&stage.layout, slot, value.clone());
                         }
                     }
                 }
@@ -1495,11 +1498,11 @@ impl<'s, 'r> Interpreter<'s, 'r> {
     /// Under the compiled engine, classes living in the shared base
     /// environment (prelude and library classes — the ones every
     /// candidate constructs from) are staged once per thread: the walk
-    /// up the superclass chain, the deep default-expression clones, and
-    /// the `self`-dependency analysis all happen on the first
-    /// construction only. Classes defined by the user program live in
-    /// per-candidate scopes, so their `Rc` identity is fresh each run
-    /// and caching them would never hit — they take the direct path.
+    /// up the superclass chain and the `self`-dependency analysis
+    /// happen on the first construction only. Classes defined by the
+    /// user program live in per-candidate scopes, so their `Rc` identity
+    /// is fresh each run and caching them would never hit — they take
+    /// the direct path.
     fn class_defaults(
         &mut self,
         class: &Rc<RuntimeClass>,
@@ -1562,19 +1565,19 @@ impl<'s, 'r> Interpreter<'s, 'r> {
     /// [`Action`]. Metadata is *not* built here — it depends only on
     /// the specifier syntax plus each action's [`ActionShape`] (see
     /// [`spec_meta`]), so staged construction sites skip it entirely.
-    fn prepare_specifiers(
+    fn prepare_specifiers<'a>(
         &mut self,
-        specifiers: &[Specifier],
+        specifiers: &'a [Specifier],
         env: &EnvRef,
-    ) -> RunResult<Vec<Action>> {
+    ) -> RunResult<Vec<Action<'a>>> {
         let mut out = Vec::with_capacity(specifiers.len());
         for spec in specifiers {
             let entry = match spec {
                 Specifier::With(prop, expr) => match self.eval(expr, env) {
                     Ok(v) => Action::Const(vec![(prop.clone(), v)]),
                     Err(ScenicError::NeedsSelf) => Action::DeferredExpr {
-                        prop: prop.clone(),
-                        expr: expr.clone(),
+                        prop,
+                        expr,
                         env: env.clone(),
                     },
                     Err(e) => return Err(e),
@@ -1749,8 +1752,8 @@ impl<'s, 'r> Interpreter<'s, 'r> {
                         }
                     },
                     Err(ScenicError::NeedsSelf) => Action::DeferredExpr {
-                        prop: "heading".into(),
-                        expr: expr.clone(),
+                        prop: "heading",
+                        expr,
                         env: env.clone(),
                     },
                     Err(e) => return Err(e),
@@ -1828,7 +1831,7 @@ impl<'s, 'r> Interpreter<'s, 'r> {
             }
             Action::DeferredExpr { prop, expr, env } => {
                 let v = self.eval(expr, env)?;
-                Ok(vec![(prop.clone(), v)])
+                Ok(vec![(prop.to_string(), v)])
             }
             Action::UserSpec { spec, args, kwargs } => {
                 let values = self.run_user_specifier(spec, args, kwargs, obj)?;
@@ -2148,7 +2151,8 @@ fn stage_matches(stage: &crate::compile::CtorStage, actions: &[Action]) -> bool 
 
 /// Builds a construction site's stage: the metadata rows (explicit
 /// entries first, then the class defaults, mirroring the prepared
-/// action order) and their Algorithm 1 resolution.
+/// action order), their Algorithm 1 resolution, and the layout and
+/// slots of the properties the resolution assigns.
 fn build_stage(
     class_name: &str,
     specifiers: &[Specifier],
@@ -2162,10 +2166,21 @@ fn build_stage(
         .collect();
     metas.extend(defaults.iter().map(|d| d.meta.clone()));
     let order = resolve(class_name, &metas)?;
+    let assigned = || order.order.iter().flat_map(|(_, props)| props);
+    let layout = Layout::new(assigned().cloned());
+    let slots = assigned()
+        .map(|prop| {
+            layout
+                .slot(prop)
+                .expect("the layout holds every assigned name")
+        })
+        .collect();
     Ok(crate::compile::CtorStage {
         shapes: actions.iter().map(Action::shape).collect(),
         metas,
         order,
+        layout: Rc::new(layout),
+        slots,
     })
 }
 
@@ -2186,7 +2201,7 @@ fn stage_class_defaults(class: &Rc<RuntimeClass>) -> Vec<crate::compile::CachedD
                 source: SpecSource::Default,
             },
             prop: prop.into(),
-            expr: Rc::new(expr),
+            expr,
         })
         .collect()
 }
@@ -2244,5 +2259,39 @@ mod tests {
         interp.run().unwrap();
         drop(interp);
         assert!(scope.upgrade().is_none(), "root scope leaked");
+    }
+
+    #[test]
+    fn running_a_def_twice_shares_one_definition() {
+        // The compiled engine keys staged construction sites by the
+        // address of their specifier list, so the functions and
+        // specifiers a statement creates must share its definition.
+        let scenario = crate::compile(
+            "def f():\n    return Object at 0 @ 0\n\
+             specifier wide() specifies width:\n    return {\"width\": 3}\n",
+        )
+        .unwrap();
+        let mut rng = StdRng::seed_from_u64(0);
+        let mut interp = Interpreter::new(&scenario, &mut rng);
+        interp.run_prefix().unwrap();
+        let mut run_defs = || {
+            let scope = Scope::child(&interp.globals);
+            interp
+                .exec_block(&scenario.program.statements, &scope)
+                .unwrap();
+            match (lookup(&scope, "f"), lookup(&scope, "wide")) {
+                (Some(Value::Function(f)), Some(Value::Specifier(s))) => (f, s),
+                other => panic!("expected a function and a specifier, got {other:?}"),
+            }
+        };
+        let (f1, s1) = run_defs();
+        let (f2, s2) = run_defs();
+        assert!(!Rc::ptr_eq(&f1, &f2), "each run creates its own function");
+        assert!(Arc::ptr_eq(&f1.def, &f2.def));
+        assert!(Arc::ptr_eq(&s1.def, &s2.def));
+        let StmtKind::FuncDef(def) = &scenario.program.statements[0].kind else {
+            panic!("expected the `def` statement");
+        };
+        assert!(Arc::ptr_eq(&f1.def, def));
     }
 }

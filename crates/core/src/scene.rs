@@ -104,15 +104,15 @@ impl SceneObject {
         let data = obj.borrow();
         let position = data.position().unwrap_or(Vec2::ZERO);
         let mut properties = BTreeMap::new();
-        for (k, v) in &data.properties {
-            if matches!(&**k, "position" | "heading" | "width" | "height") {
+        for (k, v) in data.properties() {
+            if matches!(k, "position" | "heading" | "width" | "height") {
                 continue;
             }
             properties.insert(k.to_string(), PropValue::from_value(v));
         }
         SceneObject {
             id: data.id,
-            class: data.class_name.clone(),
+            class: data.class_name().to_string(),
             is_ego,
             position: [position.x, position.y],
             heading: data.heading().unwrap_or(0.0),

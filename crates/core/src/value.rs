@@ -152,8 +152,10 @@ pub struct SampleValue {
 
 /// A user-defined function (closure over its defining environment).
 pub struct UserFunc {
-    /// The parsed definition.
-    pub def: scenic_lang::FuncDef,
+    /// The parsed definition, shared with the `def` statement (so every
+    /// construction site in the body has one address for as long as the
+    /// program lives).
+    pub def: std::sync::Arc<scenic_lang::FuncDef>,
     /// Captured environment.
     pub closure: crate::env::EnvRef,
 }
@@ -168,8 +170,8 @@ impl fmt::Debug for UserFunc {
 /// declared with the `specifier` statement and applied at a construction
 /// site with `using name(args)`.
 pub struct UserSpecifier {
-    /// The parsed definition.
-    pub def: scenic_lang::SpecifierDef,
+    /// The parsed definition, shared with the `specifier` statement.
+    pub def: std::sync::Arc<scenic_lang::SpecifierDef>,
     /// Captured environment.
     pub closure: crate::env::EnvRef,
 }
@@ -443,7 +445,7 @@ impl fmt::Display for Value {
                 write!(f, "]")
             }
             Value::Dict(d) => write!(f, "<dict of {} entries>", d.borrow().len()),
-            Value::Object(o) => write!(f, "<{} #{}>", o.borrow().class_name, o.borrow().id),
+            Value::Object(o) => write!(f, "<{} #{}>", o.borrow().class_name(), o.borrow().id),
             Value::Class(c) => write!(f, "<class {}>", c.name),
             Value::Function(func) => write!(f, "<function {}>", func.def.name),
             Value::Specifier(s) => write!(f, "<specifier {}>", s.def.name),

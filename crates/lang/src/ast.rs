@@ -5,6 +5,7 @@
 
 use crate::token::Span;
 use std::fmt;
+use std::sync::Arc;
 
 /// A parsed Scenic scenario: a sequence of imports followed by
 /// statements.
@@ -63,8 +64,9 @@ pub enum StmtKind {
     Require {
         /// Soft-requirement probability (hard requirement when `None`).
         prob: Option<Expr>,
-        /// The condition that must hold.
-        cond: Expr,
+        /// The condition that must hold, shared with every check deferred
+        /// to termination.
+        cond: Arc<Expr>,
     },
     /// `mutate x, y by n` (empty target list = every object).
     Mutate {
@@ -73,11 +75,13 @@ pub enum StmtKind {
         /// Noise scale (default 1).
         scale: Option<Expr>,
     },
-    /// `def name(params): body`
-    FuncDef(FuncDef),
+    /// `def name(params): body`, shared with every function value the
+    /// statement creates.
+    FuncDef(Arc<FuncDef>),
     /// `specifier name(params) specifies props …: body` — a user-defined
-    /// specifier (the extension named in §8 of the paper).
-    SpecifierDef(SpecifierDef),
+    /// specifier (the extension named in §8 of the paper), shared with
+    /// every specifier value the statement creates.
+    SpecifierDef(Arc<SpecifierDef>),
     /// `return [expr]`
     Return(Option<Expr>),
     /// `if/elif/else`
@@ -115,8 +119,10 @@ pub struct ClassDef {
     pub name: String,
     /// Optional superclass (defaults to `Object` at runtime).
     pub superclass: Option<String>,
-    /// `property: defaultValueExpr` pairs in declaration order.
-    pub properties: Vec<(String, Expr)>,
+    /// `property: defaultValueExpr` pairs in declaration order. Each
+    /// expression is shared with every runtime class the definition
+    /// creates.
+    pub properties: Vec<(String, Arc<Expr>)>,
 }
 
 /// A user-defined specifier definition:

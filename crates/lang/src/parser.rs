@@ -26,6 +26,7 @@ use crate::ast::*;
 use crate::error::{ParseError, ParseResult};
 use crate::lexer::lex;
 use crate::token::{Pos, Span, Token, TokenKind};
+use std::sync::Arc;
 
 /// Parsed call arguments: positional then keyword.
 type CallArgs = (Vec<Expr>, Vec<(String, Expr)>);
@@ -301,7 +302,7 @@ impl Parser {
                     self.bump();
                     self.expect(&TokenKind::Colon)?;
                     let value = self.parse_expr()?;
-                    properties.push((prop, value));
+                    properties.push((prop, Arc::new(value)));
                     self.expect_newline()?;
                 }
                 other => {
@@ -330,7 +331,10 @@ impl Parser {
         };
         let cond = self.parse_expr()?;
         self.expect_newline()?;
-        Ok(StmtKind::Require { prob, cond })
+        Ok(StmtKind::Require {
+            prob,
+            cond: Arc::new(cond),
+        })
     }
 
     fn parse_mutate(&mut self) -> ParseResult<StmtKind> {
@@ -386,7 +390,7 @@ impl Parser {
         }
         self.expect(&TokenKind::Colon)?;
         let body = self.parse_block()?;
-        Ok(StmtKind::FuncDef(FuncDef { name, params, body }))
+        Ok(StmtKind::FuncDef(Arc::new(FuncDef { name, params, body })))
     }
 
     /// `specifier name(params) specifies p, … [optionally q, …]
@@ -428,14 +432,14 @@ impl Parser {
         };
         self.expect(&TokenKind::Colon)?;
         let body = self.parse_block()?;
-        Ok(StmtKind::SpecifierDef(SpecifierDef {
+        Ok(StmtKind::SpecifierDef(Arc::new(SpecifierDef {
             name,
             params,
             specifies,
             optional,
             requires,
             body,
-        }))
+        })))
     }
 
     /// A comma-separated list of identifiers (property names).
@@ -1408,10 +1412,7 @@ mod tests {
         let p = parse_ok("require car2 can see ego\nrequire[0.5] x > 3\n");
         assert!(matches!(
             &p.statements[0].kind,
-            StmtKind::Require {
-                prob: None,
-                cond: Expr::CanSee(_, _)
-            }
+            StmtKind::Require { prob: None, cond } if matches!(&**cond, Expr::CanSee(_, _))
         ));
         assert!(matches!(
             &p.statements[1].kind,
@@ -1442,7 +1443,7 @@ mod tests {
         assert_eq!(cd.name, "Car");
         assert_eq!(cd.properties.len(), 2);
         assert!(matches!(
-            &cd.properties[1].1,
+            &*cd.properties[1].1,
             Expr::FieldAt(_, attr) if matches!(&**attr, Expr::Attribute { .. })
         ));
     }
@@ -1548,7 +1549,7 @@ for i in range(4):
         let StmtKind::Require { cond, .. } = &p.statements[0].kind else {
             panic!();
         };
-        assert!(matches!(cond, Expr::Compare { op: CmpOp::Le, .. }));
+        assert!(matches!(&**cond, Expr::Compare { op: CmpOp::Le, .. }));
         let e = first_expr("d = distance from spot to 1 @ 2\n");
         assert!(matches!(e, Expr::DistanceTo { from: Some(_), .. }));
     }

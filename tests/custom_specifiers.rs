@@ -8,7 +8,7 @@
 //! `self` when the body runs), and its body returns a dict of property
 //! values.
 
-use scenic::core::ScenicError;
+use scenic::core::{PropValue, ScenicError};
 use scenic::prelude::*;
 
 fn run(source: &str, seed: u64) -> Result<Scene, ScenicError> {
@@ -63,6 +63,40 @@ fn specifier_may_set_multiple_properties() {
     assert_eq!(pos(&scene, 0), [2.0, 0.0]);
     let h = scene.objects[0].heading.to_degrees();
     assert!((h - 90.0).abs() < 1e-9, "{h}");
+}
+
+#[test]
+fn specifier_body_may_write_outside_the_object_layout() {
+    // A user `Point` declares no `mutationScale`, so `mutate self` gives
+    // the object under construction a property its construction site
+    // has no slot for, before `width` and the `position` default land.
+    let scenario = compile(
+        "class Point:\n\
+         \x20   position: 3 @ 4\n\
+         \x20   width: 1\n\
+         specifier marked() specifies width:\n\
+         \x20   mutate self\n\
+         \x20   return {'width': 2}\n\
+         ego = Object at 0 @ 0\n\
+         p = Point using marked()\n\
+         Object at 0 @ 5, with marks [p.mutationScale, p.width, p.position]\n",
+    )
+    .unwrap();
+    for engine in [Engine::Compiled, Engine::Ast] {
+        let scene = Sampler::new(&scenario)
+            .with_engine(engine)
+            .sample_seeded(0)
+            .unwrap();
+        assert_eq!(
+            scene.objects[1].property("marks"),
+            Some(&PropValue::List(vec![
+                PropValue::Number(1.0),
+                PropValue::Number(2.0),
+                PropValue::Vector([3.0, 4.0]),
+            ])),
+            "{engine}"
+        );
+    }
 }
 
 #[test]

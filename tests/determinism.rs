@@ -117,6 +117,86 @@ fn nested_self_digest_is_stable_on_both_engines() {
     }
 }
 
+/// Asserts that `source`, sampled as a 3-scene batch at root seed 3,
+/// has `expected` as its batch digest under both engines.
+fn assert_batch_digest_on_both_engines(source: &str, world: &str, expected: u64, what: &str) {
+    let scenario = compile_with_world(source, bundled_world(world)).unwrap();
+    for engine in [Engine::Compiled, Engine::Ast] {
+        let scenes = Sampler::new(&scenario)
+            .with_engine(engine)
+            .with_seed(3)
+            .sample_batch(3, 1)
+            .unwrap_or_else(|e| panic!("{engine}: {what}: {e}"));
+        assert_eq!(batch_digest(&scenes), expected, "{engine}: {what}");
+    }
+}
+
+/// Pairs of library-class construction sites whose specifiers classify
+/// alike (one constant value each), written where every candidate runs
+/// the syntax again: in `def` bodies, in user class defaults, in `with`
+/// arguments deferred until `position` is known, and in `require`s
+/// deferred to termination (their conditions draw). The compiled engine
+/// must stage the two sites of each pair apart.
+const SITES_IN_RUNTIME_SYNTAX: &[(&str, &str, u64)] = &[
+    (
+        "ego = Object at 0 @ -2\n\
+         def f():\n    return Object at 0 @ 2\n\
+         def g():\n    return Object facing 30 deg\n\
+         a = f()\nb = g()\n",
+        "bare",
+        1103923322401209398,
+    ),
+    (
+        "class Crate(Object):\n    anchor: Point at 1 @ 1\n\
+         class Box2(Object):\n    anchor: Point facing 30 deg\n\
+         ego = Crate at 0 @ -2\nb = Box2 at 0 @ 3\n",
+        "bare",
+        4688431699681297029,
+    ),
+    (
+        "ego = Object at 0 @ -2\n\
+         a = Object at 0 @ 2, with anchor [roadDirection relative to 0 deg, Point at 1 @ 1]\n\
+         b = Object at 0 @ 5, with anchor [roadDirection relative to 0 deg, Point facing 30 deg]\n",
+        "gta",
+        16095554080044534825,
+    ),
+    (
+        "ego = Object at 0 @ 0\n\
+         require (Point at (0, 1) @ 0).position.x < 5\n\
+         require (Point facing (0, 1)).heading < 5\n",
+        "bare",
+        7185746144691294114,
+    ),
+];
+
+#[test]
+fn sites_in_runtime_syntax_digests_are_stable_on_both_engines() {
+    for &(source, world, expected) in SITES_IN_RUNTIME_SYNTAX {
+        assert_batch_digest_on_both_engines(source, world, expected, source);
+    }
+}
+
+/// `mutate` on a detached `front of` point writes `mutationScale`, which
+/// the point has no slot for, and the `require` reads it back; the last
+/// object sets `tag`, which no class declares.
+const WRITES_OUTSIDE_THE_LAYOUT: &str = "\
+ego = Object at 0 @ 0
+p = front of ego
+mutate p by 2
+require p.mutationScale == 2
+Object at 0 @ (4, 6), with tag \"far\"
+";
+
+#[test]
+fn writes_outside_the_layout_digest_is_stable_on_both_engines() {
+    assert_batch_digest_on_both_engines(
+        WRITES_OUTSIDE_THE_LAYOUT,
+        "bare",
+        10950505392564156387,
+        "writes to names outside an object's layout",
+    );
+}
+
 #[test]
 fn distinct_seeds_produce_distinct_scenes() {
     let world = World::generate(MapConfig::default());
