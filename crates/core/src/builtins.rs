@@ -19,8 +19,9 @@ fn native(
         + 'static,
 ) -> Value {
     Value::Native(NativeFn {
-        name: name.to_string(),
+        name: name.into(),
         imp: Arc::new(f),
+        support: None,
     })
 }
 

@@ -72,6 +72,7 @@ use crate::specifier::{ResolvedOrder, SpecMeta};
 use crate::value::{DistSpec, Value};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use scenic_geom::region::HalfPlanes;
 use scenic_lang::ast::{
     BinOp, ClassDef, CmpOp, Expr, FuncDef, Program, Specifier, SpecifierDef, Stmt, StmtKind,
 };
@@ -159,7 +160,7 @@ thread_local! {
 /// construction caches every candidate on this thread reuses.
 struct HoistedBase {
     globals: EnvRef,
-    imported: HashSet<String>,
+    imported: Rc<HashSet<String>>,
     cache: Rc<ExecCache>,
 }
 
@@ -186,6 +187,9 @@ pub(crate) struct ExecCache {
     /// freed copy's address could be reused by another site, running
     /// that site's stage.
     pub(crate) ctors: RefCell<HashMap<(usize, usize), Rc<CtorStage>>>,
+    /// The workspace as half-planes, when that is exact: what the
+    /// visibility guard needs to know an object's disc lies inside it.
+    pub(crate) workspace: Option<HalfPlanes>,
 }
 
 /// One staged construction site: the specifier metadata (explicit
@@ -208,6 +212,9 @@ pub(crate) struct CtorStage {
     /// The slot in `layout` of each property `order` assigns, row by row
     /// in order.
     pub(crate) slots: Vec<usize>,
+    /// The site's visibility guard, when its facts allow one (see
+    /// [`crate::early`]).
+    pub(crate) guard: Option<crate::early::VisibilityGuard>,
 }
 
 /// One staged class-default specifier: precomputed metadata plus the
@@ -307,7 +314,7 @@ impl CompiledProgram {
                     &self.folded,
                     rng,
                     globals,
-                    base.imported.clone(),
+                    Rc::clone(&base.imported),
                     Rc::clone(&base.cache),
                     plan,
                     early,
@@ -379,12 +386,32 @@ impl CompiledProgram {
             base_env: globals.clone(),
             defaults: RefCell::new(HashMap::new()),
             ctors: RefCell::new(HashMap::new()),
+            workspace: self.folded.world.workspace.half_planes(),
         });
         Some(HoistedBase {
             globals,
             imported,
             cache,
         })
+    }
+}
+
+#[cfg(test)]
+impl CompiledProgram {
+    /// The visibility guards of the sites this thread has staged that
+    /// construct the base-environment class `class`.
+    pub(crate) fn staged_guards(&self, class: &str) -> Vec<Option<crate::early::VisibilityGuard>> {
+        let base = self.base().expect("the scenario hoists");
+        let Some(Value::Class(class)) = crate::env::lookup(&base.globals, class) else {
+            panic!("`{class}` is not a base class");
+        };
+        let class = Rc::as_ptr(&class) as usize;
+        let ctors = base.cache.ctors.borrow();
+        ctors
+            .iter()
+            .filter(|((_, staged), _)| *staged == class)
+            .map(|(_, stage)| stage.guard)
+            .collect()
     }
 }
 

@@ -27,10 +27,74 @@
 //! Objects are checked at construction only when `ego` is assigned
 //! exactly once, by a top-level statement of the user program, so the
 //! viewer an object is checked against is the final one.
+//!
+//! # The visibility guard
+//!
+//! Most candidates of a scenario like `simplest` die because an object
+//! cannot be seen from the ego, and its first resolved row, `position`,
+//! already settles that. The compiled engine therefore stages with each
+//! construction site a [`VisibilityGuard`]: right after the `position`
+//! row, it rejects the candidate with `Rejection::Visibility` when a disc
+//! of radius `r` around the new position cannot meet the ego's visible
+//! region, the workspace certainly contains that disc and the object
+//! cannot collide. `r` bounds the object's circumradius. The check runs
+//! only where the interpreter would check the object at construction
+//! (objects are checked early, no mutation is pending, every earlier
+//! object is decided, the ego's viewer is known). There the full checks
+//! would pass containment and collisions and fail visibility, so the
+//! candidate is rejected for the same reason, only sooner.
+//!
+//! Only sites the compiled engine caches get a guard: classes living in
+//! the hoisted base environment, which is verified frozen, so names
+//! resolved there at staging stay valid. [`visibility_guard`] gives one
+//! to a site only when all of these hold:
+//!
+//! - (a) the class is physical (its lineage reaches `Object`), so the
+//!   object is checked at all;
+//! - (b) every explicit specifier is a value known before construction
+//!   starts (`with`, `at`, `in`, …), `left of` and friends, or a
+//!   `facing` form computed from the position: a deferred `with`/`facing`
+//!   argument or a `using` runs user code, which could construct objects
+//!   or move the ego;
+//! - (c) `requireVisible` is a literal `True` class default,
+//!   `mutationScale` a literal `0` class default or absent, and
+//!   `allowCollisions` a literal class default, so the object is
+//!   checked for visibility, never mutated, and its collision exemption
+//!   is known;
+//! - (d) `width` and `height` are class defaults with a static bound: a
+//!   number, a constant interval, or `self.P.F` where `P`'s class default
+//!   calls, with no arguments, a native whose declared support
+//!   (`NativeFn::support`) has a numeric field `F` in every value. Then
+//!   `r = hypot(max|width|, max|height|) / 2`;
+//! - (e) every row after the `position` row is an explicit specifier
+//!   allowed by (b), or a class default that constructs no object and
+//!   calls only names that resolve, in the class's environment, to
+//!   natives. So nothing after the guard can reject: no object is
+//!   constructed, no `require` runs, and natives never reject.
+//!
+//! An explicit specifier for `requireVisible`, `mutationScale`,
+//! `allowCollisions`, `width`, `height` or `P` replaces the class
+//! default, so it turns the guard off. The box also stays within `r` of
+//! its position only while its heading is finite: the runtime check
+//! asks that every number the site's explicit specifiers carry be
+//! finite, and trusts library class defaults to compute finite headings
+//! from finite inputs, as the bundled ones do.
+//!
+//! The AST engine does not guard: it is the oracle the compiled engine
+//! is tested against. An error that only a guarded-out candidate would
+//! reach in the rest of its construction becomes a rejection on the
+//! compiled engine — the contract early rejection already has.
 
 use crate::analysis::{stmts_contain_mutate, walk_subexprs};
-use crate::compile::{assigns_in_defs, collect_expr_idents, defined_names, for_each_stmt};
-use crate::interp::Scenario;
+use crate::class::RuntimeClass;
+use crate::compile::{
+    assigns_in_defs, collect_expr_idents, defined_names, for_each_stmt, CachedDefault,
+};
+use crate::env::{lookup, EnvRef};
+use crate::interp::{ActionShape, Scenario};
+use crate::specifier::ResolvedOrder;
+use crate::value::{dict_get, Value};
+use crate::world::NativeValue;
 use scenic_lang::ast::{Expr, StmtKind};
 use std::collections::HashSet;
 
@@ -105,6 +169,157 @@ impl EarlyPlan {
     }
 }
 
+/// A construction site's visibility guard (see the module docs): the
+/// facts its runtime check needs, computed once per staged site.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct VisibilityGuard {
+    /// The row of the site's resolved order that assigns `position`; the
+    /// check runs right after it.
+    pub(crate) row: usize,
+    /// A bound on the circumradius of every object the site builds.
+    pub(crate) radius: f64,
+    /// The class's literal `allowCollisions`.
+    pub(crate) allow_collisions: bool,
+}
+
+/// The visibility guard of a staged construction site of `class`, whose
+/// explicit specifiers have `shapes` and whose rows `order` resolves
+/// over those specifiers followed by `defaults`; `None` unless every
+/// rule (a)–(e) of the module docs holds.
+pub(crate) fn visibility_guard(
+    class: &RuntimeClass,
+    shapes: &[ActionShape],
+    order: &ResolvedOrder,
+    defaults: &[CachedDefault],
+) -> Option<VisibilityGuard> {
+    let explicit = shapes.len();
+    let row_of = |prop: &str| {
+        order
+            .order
+            .iter()
+            .position(|(_, props)| props.iter().any(|p| &**p == prop))
+    };
+    // The class default assigning `prop`, when a class default does.
+    let default_of = |prop: &str| {
+        let (idx, _) = &order.order[row_of(prop)?];
+        idx.checked_sub(explicit).map(|k| &*defaults[k].expr)
+    };
+    let env = &class.env;
+
+    // (a) and (b).
+    if !class.lineage().iter().any(|c| c == "Object") || !shapes.iter().all(decided_before) {
+        return None;
+    }
+    // (c).
+    if !matches!(default_of("requireVisible"), Some(Expr::Bool(true))) {
+        return None;
+    }
+    if row_of("mutationScale").is_some()
+        && !matches!(default_of("mutationScale"), Some(Expr::Number(n)) if *n == 0.0)
+    {
+        return None;
+    }
+    let Some(Expr::Bool(allow_collisions)) = default_of("allowCollisions") else {
+        return None;
+    };
+    // (d).
+    let dimension = |prop: &str| -> Option<f64> {
+        let expr = default_of(prop)?;
+        if let Some(bound) = crate::prune::interval_bound(expr) {
+            return Some(bound);
+        }
+        let Expr::Attribute { obj, name: field } = expr else {
+            return None;
+        };
+        let Expr::Attribute {
+            obj: owner,
+            name: p,
+        } = &**obj
+        else {
+            return None;
+        };
+        if !matches!(&**owner, Expr::Ident(s) if s == "self") {
+            return None;
+        }
+        let Some(Expr::Call { func, args, kwargs }) = default_of(p) else {
+            return None;
+        };
+        let Some(Value::Native(native)) = resolve_name(func, env) else {
+            return None;
+        };
+        if !args.is_empty() || !kwargs.is_empty() {
+            return None;
+        }
+        native
+            .support
+            .as_ref()?
+            .iter()
+            .try_fold(0.0_f64, |bound, value| {
+                let NativeValue::Namespace(fields) = value else {
+                    return None;
+                };
+                match fields.iter().find(|(name, _)| name == field)? {
+                    (_, NativeValue::Number(n)) => Some(bound.max(n.abs())),
+                    _ => None,
+                }
+            })
+    };
+    let radius = dimension("width")?.hypot(dimension("height")?) / 2.0;
+    // (e).
+    let row = row_of("position")?;
+    let rest_is_native = order.order[row + 1..].iter().all(|(idx, _)| {
+        idx.checked_sub(explicit)
+            .is_none_or(|k| calls_only_resolved_natives(&defaults[k].expr, env))
+    });
+    (radius.is_finite() && rest_is_native).then_some(VisibilityGuard {
+        row,
+        radius,
+        allow_collisions: *allow_collisions,
+    })
+}
+
+/// Rule (b): whether an explicit specifier's values are all computed
+/// before construction starts, or from the position alone.
+fn decided_before(shape: &ActionShape) -> bool {
+    match shape {
+        ActionShape::Const(_)
+        | ActionShape::BesideVector
+        | ActionShape::BesideOriented
+        | ActionShape::FacingField
+        | ActionShape::FacingToward
+        | ActionShape::ApparentlyFacing => true,
+        ActionShape::Deferred | ActionShape::User => false,
+    }
+}
+
+/// The value a name or dotted path (`CarModel.defaultModel`) holds in
+/// `env`, when it resolves without evaluating anything.
+fn resolve_name(expr: &Expr, env: &EnvRef) -> Option<Value> {
+    match expr {
+        Expr::Ident(name) => lookup(env, name),
+        Expr::Attribute { obj, name } => match resolve_name(obj, env)?.unwrap_sample() {
+            Value::Dict(d) => dict_get(d, name),
+            _ => None,
+        },
+        _ => None,
+    }
+    .map(|v| v.unwrap_sample().clone())
+}
+
+/// Rule (e): whether `expr` constructs no object and calls only names
+/// that resolve, in `env`, to natives.
+fn calls_only_resolved_natives(expr: &Expr, env: &EnvRef) -> bool {
+    let mut ok = match expr {
+        Expr::Ctor { .. } => false,
+        Expr::Call { func, .. } => matches!(resolve_name(func, env), Some(Value::Native(_))),
+        _ => true,
+    };
+    walk_subexprs(expr, &mut |e| {
+        ok = ok && calls_only_resolved_natives(e, env);
+    });
+    ok
+}
+
 /// Whether `expr` constructs no object and calls only plain names outside
 /// `uncallable`.
 fn calls_only_natives(expr: &Expr, uncallable: &HashSet<String>) -> bool {
@@ -122,9 +337,115 @@ fn calls_only_natives(expr: &Expr, uncallable: &HashSet<String>) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compile::Engine;
+    use crate::value::NativeFn;
+    use crate::world::{Module, World};
+    use rand::SeedableRng;
+    use scenic_geom::{Heading, Region, Vec2, VectorField};
+    use std::sync::Arc;
 
     fn plan(source: &str) -> EarlyPlan {
         EarlyPlan::build(&crate::compile(source).unwrap())
+    }
+
+    /// A small driving world shaped like gta's: `Car` takes its
+    /// dimensions from `CarModel.defaultModel()`, whose declared support
+    /// is two models, the wider one the shorter.
+    fn driving_world() -> World {
+        let model = |width: f64, height: f64| {
+            NativeValue::Namespace(vec![
+                ("width".into(), NativeValue::Number(width)),
+                ("height".into(), NativeValue::Number(height)),
+            ])
+        };
+        let models = Arc::new(vec![model(2.5, 5.0), model(1.8, 11.0)]);
+        let draw = Arc::clone(&models);
+        let default_model = NativeFn {
+            name: "CarModel.defaultModel".into(),
+            imp: Arc::new(move |_, _, _| Ok(draw[0].to_value())),
+            support: Some(models),
+        };
+        let module = Module {
+            natives: vec![
+                (
+                    "road".into(),
+                    NativeValue::Region(Arc::new(Region::rectangle(Vec2::ZERO, 200.0, 200.0))),
+                ),
+                (
+                    "roadDirection".into(),
+                    NativeValue::Field(Arc::new(VectorField::Constant(Heading::NORTH))),
+                ),
+                (
+                    "CarModel".into(),
+                    NativeValue::Namespace(vec![(
+                        "defaultModel".into(),
+                        NativeValue::Function(default_model),
+                    )]),
+                ),
+            ],
+            source: Some(
+                "class Car:\n    position: Point on road\n    \
+                 heading: (roadDirection at self.position) + self.roadDeviation\n    \
+                 roadDeviation: 0\n    width: self.model.width\n    \
+                 height: self.model.height\n    viewAngle: 80 deg\n    \
+                 visibleDistance: 30\n    model: CarModel.defaultModel()\n"
+                    .into(),
+            ),
+        };
+        let mut world = World::with_workspace(Region::rectangle(Vec2::ZERO, 400.0, 400.0));
+        world.add_auto_module("lib", module);
+        world
+    }
+
+    /// The guards of the `Car` sites one candidate of `source` stages.
+    fn car_guards(source: &str) -> Vec<Option<VisibilityGuard>> {
+        let scenario = crate::compile_with_world(source, &driving_world()).unwrap();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+        let _ = scenario.generate_with(&mut rng, None, Engine::Compiled);
+        scenario.compiled().staged_guards("Car")
+    }
+
+    #[test]
+    fn a_car_site_is_guarded_by_the_declared_support() {
+        // Width and height are bounded separately: 2.5 m by one model,
+        // 11 m by the other.
+        let guards = car_guards("ego = Object at 0 @ 0\nCar\n");
+        let [Some(guard)] = guards[..] else {
+            panic!("expected one guarded site, got {guards:?}");
+        };
+        assert_eq!(guard.radius, 1.25f64.hypot(5.5));
+        assert!(!guard.allow_collisions);
+        // Explicit values known up front keep the guard.
+        let guards = car_guards("ego = Object at 0 @ 0\nCar at 3 @ 4, facing 10 deg\n");
+        assert!(matches!(guards[..], [Some(_)]), "{guards:?}");
+    }
+
+    #[test]
+    fn sites_that_could_reject_later_or_grow_the_box_get_no_guard() {
+        for site in [
+            "Car with model CarModel.defaultModel()",
+            "Car with width 2",
+            "Car with height 2",
+            "Car with requireVisible False",
+            "Car with allowCollisions True",
+            "Car with mutationScale 1",
+            // Deferred: the argument needs the car's own position.
+            "Car with heading (roadDirection relative to 10 deg)",
+            "Car using wide()",
+        ] {
+            let source = format!(
+                "specifier wide() specifies width:\n    return {{\"width\": 2}}\n\
+                 ego = Object at 0 @ 0\n{site}\n"
+            );
+            assert_eq!(car_guards(&source), [None], "{site}");
+        }
+    }
+
+    #[test]
+    fn user_classes_are_never_staged_so_never_guarded() {
+        let guards =
+            car_guards("class Van(Car):\n    roadDeviation: 0\nego = Object at 0 @ 0\nVan\n");
+        assert!(guards.is_empty(), "{guards:?}");
     }
 
     #[test]

@@ -11,7 +11,7 @@
 
 use crate::builtins;
 use crate::class::{self_dependencies, RuntimeClass, PRELUDE};
-use crate::early::EarlyPlan;
+use crate::early::{EarlyPlan, VisibilityGuard};
 use crate::env::{assign, clear, define, lookup, EnvRef, Scope};
 use crate::error::{Rejection, RunResult, ScenicError};
 use crate::object::{oriented_point, Layout, ObjData, ObjRef, PropName};
@@ -375,6 +375,26 @@ pub(crate) enum ActionShape {
 }
 
 impl Action<'_> {
+    /// Whether every number the action carries is finite, so that a
+    /// heading it feeds stays finite and the object's box stays within
+    /// its circumradius of its position (see `guard_rejects`).
+    fn is_finite(&self) -> bool {
+        match self {
+            Action::Const(values) => values.iter().all(|(_, v)| finite(v)),
+            Action::BesideVector { target, gap, .. } => target.is_finite() && gap.is_finite(),
+            Action::BesideOriented {
+                position,
+                heading,
+                gap,
+                ..
+            } => position.is_finite() && heading.is_finite() && gap.is_finite(),
+            Action::FacingField(_) => true,
+            Action::FacingToward { target, .. } => target.is_finite(),
+            Action::ApparentlyFacing { heading, from } => heading.is_finite() && from.is_finite(),
+            Action::DeferredExpr { .. } | Action::UserSpec { .. } => false,
+        }
+    }
+
     fn shape(&self) -> ActionShape {
         match self {
             Action::Const(values) => ActionShape::Const(values.len()),
@@ -425,7 +445,9 @@ pub struct Interpreter<'s, 'r> {
     ego: Option<ObjRef>,
     params: Vec<(String, Value)>,
     requirements: Vec<DeferredRequirement>,
-    imported: HashSet<String>,
+    /// Modules imported so far: the base's set, shared by every
+    /// candidate on the compiled engine, copied only by an `import`.
+    imported: Rc<HashSet<String>>,
     next_id: usize,
     current_self: Option<ObjRef>,
     depth: usize,
@@ -460,7 +482,7 @@ impl<'s, 'r> Interpreter<'s, 'r> {
             ego: None,
             params: Vec::new(),
             requirements: Vec::new(),
-            imported: HashSet::new(),
+            imported: Rc::default(),
             next_id: 0,
             current_self: None,
             depth: 0,
@@ -479,7 +501,7 @@ impl<'s, 'r> Interpreter<'s, 'r> {
         scenario: &'s Scenario,
         rng: &'r mut StdRng,
         globals: EnvRef,
-        imported: HashSet<String>,
+        imported: Rc<HashSet<String>>,
         exec_cache: Rc<crate::compile::ExecCache>,
         prune: Option<&'s PrunePlan>,
         early: &'s EarlyPlan,
@@ -595,8 +617,8 @@ impl<'s, 'r> Interpreter<'s, 'r> {
     /// The global scope and imported-module set after
     /// [`Interpreter::run_prefix`] (cloned handles; used by the
     /// compiled engine to capture a hoisted base environment).
-    pub(crate) fn base_snapshot(&self) -> (EnvRef, HashSet<String>) {
-        (self.globals.clone(), self.imported.clone())
+    pub(crate) fn base_snapshot(&self) -> (EnvRef, Rc<HashSet<String>>) {
+        (self.globals.clone(), Rc::clone(&self.imported))
     }
 
     /// Whether the prefix left all per-candidate state untouched — no
@@ -804,7 +826,7 @@ impl<'s, 'r> Interpreter<'s, 'r> {
         if self.imported.contains(name) {
             return Ok(());
         }
-        self.imported.insert(name.to_string());
+        Rc::make_mut(&mut self.imported).insert(name.to_string());
         let module = self
             .scenario
             .world
@@ -1409,7 +1431,7 @@ impl<'s, 'r> Interpreter<'s, 'r> {
         let mut default_scope = None;
         let mut slots = stage.slots.iter().copied();
         let result = (|| -> RunResult<()> {
-            for (idx, props) in &stage.order.order {
+            for (row, (idx, props)) in stage.order.order.iter().enumerate() {
                 let not_produced = |prop: &PropName| ScenicError::Specifier {
                     message: format!(
                         "specifier `{}` did not produce property `{prop}`",
@@ -1445,6 +1467,12 @@ impl<'s, 'r> Interpreter<'s, 'r> {
                                 .set_slot(&stage.layout, slot, value.clone());
                         }
                     }
+                }
+                if stage
+                    .guard
+                    .is_some_and(|g| g.row == row && self.guard_rejects(&g, &obj, &actions))
+                {
+                    return Err(ScenicError::Rejected(Rejection::Visibility));
                 }
             }
             Ok(())
@@ -1491,6 +1519,35 @@ impl<'s, 'r> Interpreter<'s, 'r> {
         }
         self.footprints.push(footprint);
         Ok(())
+    }
+
+    /// A staged site's visibility guard (see [`crate::early`]), right
+    /// after the row that assigns `position`: whether `decide_new_object`
+    /// is certain to check this object at construction, pass its
+    /// containment and collisions, and fail its visibility. (The ego's
+    /// viewer is only taken when the early plan checks objects.)
+    fn guard_rejects(&self, guard: &VisibilityGuard, obj: &ObjRef, actions: &[Action]) -> bool {
+        let Some((viewer, _)) = &self.ego_view else {
+            return false;
+        };
+        let Some(workspace) = self.exec_cache.as_ref().and_then(|c| c.workspace.as_ref()) else {
+            return false;
+        };
+        if self.mutation_pending || self.footprints.len() != self.objects.len() {
+            return false;
+        }
+        let Ok(p) = obj.borrow().position() else {
+            return false;
+        };
+        let r = guard.radius;
+        !viewer.may_see_disc(p, r)
+            && workspace.contains_disc(p, r)
+            && (guard.allow_collisions
+                || self
+                    .footprints
+                    .iter()
+                    .all(|e| e.allow_collisions || e.bbox.clear_of_disc(p, r)))
+            && actions.iter().all(Action::is_finite)
     }
 
     /// The staged default-value specifiers of `class`.
@@ -1549,15 +1606,12 @@ impl<'s, 'r> Interpreter<'s, 'r> {
                     return Ok(Rc::clone(hit));
                 }
             }
-            let stage = Rc::new(build_stage(&class.name, specifiers, actions, defaults)?);
+            let stage = Rc::new(build_stage(class, specifiers, actions, defaults, true)?);
             cache.ctors.borrow_mut().insert(key, Rc::clone(&stage));
             return Ok(stage);
         }
         Ok(Rc::new(build_stage(
-            &class.name,
-            specifiers,
-            actions,
-            defaults,
+            class, specifiers, actions, defaults, false,
         )?))
     }
 
@@ -2014,6 +2068,19 @@ impl<'s, 'r> Interpreter<'s, 'r> {
     }
 }
 
+/// Whether a specifier value holds only finite numbers. Objects,
+/// dictionaries and the other compound values count as not finite: an
+/// object's heading, say, could be anything.
+fn finite(value: &Value) -> bool {
+    match value.unwrap_sample() {
+        Value::Number(n) => n.is_finite(),
+        Value::Vector(v) => v.is_finite(),
+        Value::List(items) => items.iter().all(finite),
+        Value::None | Value::Bool(_) | Value::Str(_) => true,
+        _ => false,
+    }
+}
+
 /// The scale at which termination mutates this object (Fig. 25), if it
 /// does.
 fn mutation_scale(d: &ObjData) -> Option<f64> {
@@ -2151,13 +2218,15 @@ fn stage_matches(stage: &crate::compile::CtorStage, actions: &[Action]) -> bool 
 
 /// Builds a construction site's stage: the metadata rows (explicit
 /// entries first, then the class defaults, mirroring the prepared
-/// action order), their Algorithm 1 resolution, and the layout and
-/// slots of the properties the resolution assigns.
+/// action order), their Algorithm 1 resolution, the layout and slots of
+/// the properties the resolution assigns, and — for a `guarded` stage,
+/// one the compiled engine caches — its visibility guard.
 fn build_stage(
-    class_name: &str,
+    class: &RuntimeClass,
     specifiers: &[Specifier],
     actions: &[Action],
     defaults: &[crate::compile::CachedDefault],
+    guarded: bool,
 ) -> RunResult<crate::compile::CtorStage> {
     let mut metas: Vec<SpecMeta> = specifiers
         .iter()
@@ -2165,7 +2234,11 @@ fn build_stage(
         .map(|(s, a)| spec_meta(s, a))
         .collect();
     metas.extend(defaults.iter().map(|d| d.meta.clone()));
-    let order = resolve(class_name, &metas)?;
+    let order = resolve(&class.name, &metas)?;
+    let shapes: Vec<ActionShape> = actions.iter().map(Action::shape).collect();
+    let guard = guarded
+        .then(|| crate::early::visibility_guard(class, &shapes, &order, defaults))
+        .flatten();
     let assigned = || order.order.iter().flat_map(|(_, props)| props);
     let layout = Layout::new(assigned().cloned());
     let slots = assigned()
@@ -2176,11 +2249,12 @@ fn build_stage(
         })
         .collect();
     Ok(crate::compile::CtorStage {
-        shapes: actions.iter().map(Action::shape).collect(),
+        shapes,
         metas,
         order,
         layout: Rc::new(layout),
         slots,
+        guard,
     })
 }
 

@@ -1136,7 +1136,7 @@ pub fn derive_params_explained(programs: &[&Program]) -> (PruneParams, Vec<Prune
 
 /// Bound of an interval-like expression `(a, b)` / `(a, b) deg` /
 /// `resample(x)` (conservative `None` when unknown).
-fn interval_bound(expr: &Expr) -> Option<f64> {
+pub(crate) fn interval_bound(expr: &Expr) -> Option<f64> {
     match expr {
         Expr::Interval(lo, hi) => {
             let lo = const_scalar(lo)?;

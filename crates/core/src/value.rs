@@ -200,11 +200,24 @@ pub type NativeFnImpl = Arc<
 /// A named native function.
 #[derive(Clone)]
 pub struct NativeFn {
-    /// Display name.
-    pub name: String,
+    /// Display name, shared by every copy of the value.
+    pub name: Arc<str>,
     /// Implementation.
     pub imp: NativeFnImpl,
+    /// Every value the function can return, when the world declares it;
+    /// `None` promises nothing. A declared support must hold for every
+    /// call, whatever the arguments and the random draws: static
+    /// analyses read bounds off it (the compiled engine's visibility
+    /// guard bounds gta `Car` dimensions by `CarModel.defaultModel()`'s),
+    /// so a value outside it would let them reject a candidate the full
+    /// checks accept. (A thin pointer: see the size check below.)
+    pub support: Option<Arc<Vec<crate::world::NativeValue>>>,
 }
+
+// `NativeFn` is `Value`'s largest variant, so it sets the size of every
+// value the interpreter moves: one more word here slowed every
+// `mars_bottleneck` candidate by several percent.
+const _: () = assert!(std::mem::size_of::<Value>() <= 48);
 
 impl fmt::Debug for NativeFn {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

@@ -153,7 +153,7 @@ impl OrientedBox {
     /// Radius of the smallest disc centered at `center` containing the
     /// box; an upper bound for containment pruning.
     pub fn circumradius(&self) -> f64 {
-        (self.width / 2.0).hypot(self.height / 2.0)
+        0.5 * (self.width * self.width + self.height * self.height).sqrt()
     }
 
     /// Radius of the largest disc centered at `center` inside the box:
@@ -168,6 +168,24 @@ impl OrientedBox {
         let local = (p - self.center).rotated(-self.heading.radians());
         local.x.abs() <= self.width / 2.0 + crate::EPSILON
             && local.y.abs() <= self.height / 2.0 + crate::EPSILON
+    }
+
+    /// Whether this box lies clear of every box within `radius` of `p`:
+    /// where it returns true, [`OrientedBox::intersects`] is false
+    /// against each of them. Decided from the circumscribed discs with a
+    /// rounding slack, which covers `intersects`' `EPSILON` since the
+    /// separating-axis gap of two boxes is at least `1/√2` of their
+    /// distance. `false` whenever this box or `p` is not finite.
+    pub fn clear_of_disc(&self, p: Vec2, radius: f64) -> bool {
+        let finite = self.center.is_finite()
+            && p.is_finite()
+            && self.heading.radians().is_finite()
+            && self.width.is_finite()
+            && self.height.is_finite();
+        let reach = self.circumradius() + radius;
+        let scale = crate::magnitude(self.center) + crate::magnitude(p) + reach;
+        let clear = reach + crate::disc_slack(scale);
+        finite && (self.center - p).norm_squared() > clear * clear
     }
 
     /// Exact box–box intersection via the separating-axis theorem.
@@ -280,5 +298,42 @@ mod tests {
         let b = OrientedBox::new(Vec2::ZERO, Heading::NORTH, 6.0, 8.0);
         assert!((b.circumradius() - 5.0).abs() < 1e-12);
         assert!((b.inradius() - 3.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn boxes_clear_of_a_disc_never_intersect_a_box_inside_it() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(9);
+        let mut cleared = 0;
+        for _ in 0..4000 {
+            let fixed = OrientedBox::new(
+                Vec2::new(rng.gen_range(-5.0..5.0), rng.gen_range(-5.0..5.0)),
+                Heading(rng.gen_range(-4.0..4.0)),
+                rng.gen_range(0.0..6.0),
+                rng.gen_range(0.0..6.0),
+            );
+            let p = Vec2::new(rng.gen_range(-15.0..15.0), rng.gen_range(-15.0..15.0));
+            let radius = rng.gen_range(0.0..6.0);
+            if !fixed.clear_of_disc(p, radius) {
+                continue;
+            }
+            cleared += 1;
+            // The largest boxes the disc holds, at every heading.
+            let split = rng.gen_range(0.0..FRAC_PI_2);
+            let inside = OrientedBox::new(
+                p,
+                Heading(rng.gen_range(-4.0..4.0)),
+                2.0 * radius * split.cos(),
+                2.0 * radius * split.sin(),
+            );
+            assert!(!fixed.intersects(&inside), "{fixed:?} against {inside:?}");
+        }
+        assert!(cleared > 1000, "only {cleared} cases exercised");
+        let b = OrientedBox::new(Vec2::ZERO, Heading::NORTH, 6.0, 8.0);
+        assert!(b.clear_of_disc(Vec2::new(0.0, 10.1), 5.0));
+        assert!(!b.clear_of_disc(Vec2::new(0.0, 9.9), 5.0));
+        let nan = OrientedBox::new(Vec2::ZERO, Heading(f64::NAN), 6.0, 8.0);
+        assert!(!nan.clear_of_disc(Vec2::new(0.0, 100.0), 5.0));
+        assert!(!b.clear_of_disc(Vec2::new(0.0, f64::INFINITY), 5.0));
     }
 }

@@ -55,3 +55,20 @@ pub use vec2::Vec2;
 
 /// Tolerance used for geometric predicates throughout the crate.
 pub const EPSILON: f64 = 1e-9;
+
+/// The rounding slack of the conservative disc tests
+/// ([`visibility::Viewer::may_see_disc`],
+/// [`region::HalfPlanes::contains_disc`],
+/// [`OrientedBox::clear_of_disc`]) at coordinates of size `magnitude`.
+/// The exact tests they stand in for round to a few ulps of their inputs
+/// (about `1e-16` of the magnitudes) and accept relative `EPSILON`
+/// tolerances; `1e-7` of the magnitudes covers both with room to spare
+/// and is still far below any distance a scene cares about.
+fn disc_slack(magnitude: f64) -> f64 {
+    1e-7 * (1.0 + magnitude)
+}
+
+/// A cheap bound on `|v|` for [`disc_slack`].
+fn magnitude(v: Vec2) -> f64 {
+    v.x.abs() + v.y.abs()
+}

@@ -332,6 +332,69 @@ impl Region {
             other => other.clone(),
         }
     }
+
+    /// This region as half-planes, where that is exact: all of space, or
+    /// one convex polygon with no erosion margin. `None` for any other
+    /// region, so that [`HalfPlanes::contains_disc`] never has to
+    /// answer for one.
+    pub fn half_planes(&self) -> Option<HalfPlanes> {
+        match self {
+            Region::Everywhere => Some(HalfPlanes::default()),
+            Region::Polygons(pr) if pr.margin() == 0.0 => match pr.polygons() {
+                [poly] if poly.is_convex() && winds_once(poly) => Some(HalfPlanes {
+                    planes: poly
+                        .edges()
+                        .map(|(a, b)| {
+                            // Vertices run anticlockwise, so the interior
+                            // lies to the left of each edge.
+                            let normal = (b - a).perp().normalized();
+                            (normal, normal.dot(a))
+                        })
+                        .collect(),
+                }),
+                _ => None,
+            },
+            _ => None,
+        }
+    }
+}
+
+/// Whether the polygon's boundary turns through one full circle: with
+/// every turn to the left ([`Polygon::is_convex`]), that makes it a
+/// simple convex polygon rather than, say, a pentagram, whose interior
+/// the even-odd rule of [`Polygon::contains`] does not fill.
+fn winds_once(poly: &Polygon) -> bool {
+    let vertices = poly.vertices();
+    let n = vertices.len();
+    let turning: f64 = (0..n)
+        .map(|i| {
+            let a = vertices[(i + 1) % n] - vertices[i];
+            let b = vertices[(i + 2) % n] - vertices[(i + 1) % n];
+            a.cross(b).atan2(a.dot(b))
+        })
+        .sum();
+    (turning - std::f64::consts::TAU).abs() < 1e-6
+}
+
+/// A convex region as the intersection of closed half-planes (none: all
+/// of space), for deciding that a disc lies inside it.
+#[derive(Debug, Clone, Default)]
+pub struct HalfPlanes {
+    /// `(n, c)` for the points `p` with `n · p >= c`, `n` a unit normal.
+    planes: Vec<(Vec2, f64)>,
+}
+
+impl HalfPlanes {
+    /// Whether every point within `radius` of `center` lies inside, with
+    /// a rounding slack: where it returns true, [`Region::contains`] on
+    /// the region these came from holds for each such point. NaN answers
+    /// false.
+    pub fn contains_disc(&self, center: Vec2, radius: f64) -> bool {
+        let scale = crate::magnitude(center) + radius;
+        self.planes.iter().all(|&(normal, offset)| {
+            normal.dot(center) - offset >= radius + crate::disc_slack(scale + offset.abs())
+        })
+    }
 }
 
 impl From<Polygon> for Region {
@@ -350,7 +413,91 @@ impl From<Sector> for Region {
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
+
+    #[test]
+    fn half_planes_exist_only_where_they_are_exact() {
+        let square = Polygon::rectangle(Vec2::ZERO, 8.0, 8.0);
+        assert!(Region::Everywhere.half_planes().is_some());
+        assert!(Region::from(square.clone()).half_planes().is_some());
+        let rotated = square.rotated_about(Vec2::new(1.0, 2.0), 0.3);
+        assert!(Region::from(rotated).half_planes().is_some());
+        // Eroded, two pieces, non-convex, a pentagram, not a polygon.
+        assert!(Region::from(square.clone())
+            .eroded(0.5)
+            .half_planes()
+            .is_none());
+        let two = Region::Polygons(PolygonRegion::new(
+            vec![square.clone(), square.translated(Vec2::new(20.0, 0.0))],
+            None,
+        ));
+        assert!(two.half_planes().is_none());
+        let l_shape = Polygon::new(
+            [
+                (0.0, 0.0),
+                (2.0, 0.0),
+                (2.0, 1.0),
+                (1.0, 1.0),
+                (1.0, 2.0),
+                (0.0, 2.0),
+            ]
+            .map(|(x, y)| Vec2::new(x, y))
+            .to_vec(),
+        );
+        assert!(Region::from(l_shape).half_planes().is_none());
+        let star = Polygon::new(
+            (0..5)
+                .map(|i| Heading::from_degrees(144.0 * i as f64).direction() * 5.0)
+                .collect(),
+        );
+        assert!(star.is_convex(), "every turn of a pentagram is a left turn");
+        assert!(Region::from(star).half_planes().is_none());
+        assert!(Region::disc(Vec2::ZERO, 5.0).half_planes().is_none());
+    }
+
+    #[test]
+    fn contains_disc_on_a_square() {
+        let planes = Region::rectangle(Vec2::ZERO, 8.0, 8.0)
+            .half_planes()
+            .unwrap();
+        assert!(planes.contains_disc(Vec2::ZERO, 3.9));
+        assert!(!planes.contains_disc(Vec2::ZERO, 4.0));
+        assert!(planes.contains_disc(Vec2::new(2.0, -2.0), 1.9));
+        assert!(!planes.contains_disc(Vec2::new(2.0, -2.0), 2.1));
+        assert!(!planes.contains_disc(Vec2::new(9.0, 0.0), 0.0));
+        assert!(!planes.contains_disc(Vec2::new(f64::NAN, 0.0), 0.0));
+        assert!(!planes.contains_disc(Vec2::new(f64::INFINITY, 0.0), 0.0));
+        let everywhere = Region::Everywhere.half_planes().unwrap();
+        assert!(everywhere.contains_disc(Vec2::new(1e9, -1e9), 1e6));
+    }
+
+    #[test]
+    fn discs_inside_the_half_planes_lie_inside_the_region() {
+        let mut rng = StdRng::seed_from_u64(5);
+        for case in 0..200 {
+            let center = Vec2::new(rng.gen_range(-50.0..50.0), rng.gen_range(-50.0..50.0));
+            let poly = if case % 2 == 0 {
+                Polygon::rectangle(center, rng.gen_range(1.0..30.0), rng.gen_range(1.0..30.0))
+                    .rotated_about(center, rng.gen_range(-3.2..3.2))
+            } else {
+                Polygon::regular(center, rng.gen_range(1.0..30.0), rng.gen_range(3..12))
+            };
+            let region = Region::from(poly);
+            let planes = region.half_planes().expect("convex");
+            for _ in 0..50 {
+                let p = center + Vec2::new(rng.gen_range(-20.0..20.0), rng.gen_range(-20.0..20.0));
+                let r = rng.gen_range(0.0..8.0);
+                if !planes.contains_disc(p, r) {
+                    continue;
+                }
+                for _ in 0..16 {
+                    let q = p + Heading(rng.gen_range(-4.0..4.0)).direction()
+                        * (r * rng.gen_range(0.0..=1.0));
+                    assert!(region.contains(q), "{q} within {r} of {p}");
+                }
+            }
+        }
+    }
 
     #[test]
     fn empty_and_everywhere() {

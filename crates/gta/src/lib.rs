@@ -170,6 +170,9 @@ fn build_core_world(map: &RoadMap) -> scenic_core::World {
             )))
             .collect(),
     );
+    // `defaultModel()` declares its support, read off the same
+    // `CAR_MODELS` list its draw uses: static analyses bound `Car`
+    // dimensions by it (see `NativeFn::support`).
     let default_model = NativeFn {
         name: "CarModel.defaultModel".into(),
         imp: Arc::new(|ctx, _, _| {
@@ -180,6 +183,7 @@ fn build_core_world(map: &RoadMap) -> scenic_core::World {
             }
             SPEC.with(|spec| spec.sample(ctx.rng))
         }),
+        support: Some(Arc::new(CAR_MODELS.iter().map(car_model_native).collect())),
     };
     let car_model_ns = NativeValue::Namespace(vec![
         ("models".to_string(), models_ns),
@@ -212,6 +216,7 @@ fn build_core_world(map: &RoadMap) -> scenic_core::World {
             }
             SPEC.with(|spec| spec.sample(ctx.rng))
         }),
+        support: None,
     };
     let byte_to_real = NativeFn {
         name: "CarColor.byteToReal".into(),
@@ -232,6 +237,7 @@ fn build_core_world(map: &RoadMap) -> scenic_core::World {
                 .collect();
             Ok(Value::List(Rc::new(reals?)))
         }),
+        support: None,
     };
     let car_color_ns = NativeValue::Namespace(vec![
         (
@@ -250,6 +256,7 @@ fn build_core_world(map: &RoadMap) -> scenic_core::World {
     let default_time = NativeFn {
         name: "defaultTime".into(),
         imp: Arc::new(|ctx, _, _| Rc::new(DistSpec::Range(0.0, 1440.0)).sample(ctx.rng)),
+        support: None,
     };
     let default_weather = NativeFn {
         name: "defaultWeather".into(),
@@ -264,6 +271,7 @@ fn build_core_world(map: &RoadMap) -> scenic_core::World {
             }
             SPEC.with(|spec| spec.sample(ctx.rng))
         }),
+        support: None,
     };
 
     let full_road = Arc::new(road);
@@ -327,6 +335,61 @@ mod tests {
             .iter()
             .any(|d| (h - d).abs() < 1.0);
         assert!(ok, "heading {h}");
+    }
+
+    #[test]
+    fn default_model_draws_exactly_its_declared_support() {
+        use rand::SeedableRng;
+        let world = world();
+        let module = world.core().module("gtaLib").expect("gtaLib");
+        let natives = |value: &NativeValue, name: &str| match value {
+            NativeValue::Namespace(fields) => fields
+                .iter()
+                .find(|(n, _)| n == name)
+                .map(|(_, v)| v.clone()),
+            _ => None,
+        };
+        let car_model = module.natives.iter().find(|(n, _)| n == "CarModel");
+        let Some(NativeValue::Function(default_model)) =
+            natives(&car_model.expect("CarModel").1, "defaultModel")
+        else {
+            panic!("CarModel.defaultModel is not a native function");
+        };
+        let support = default_model
+            .support
+            .as_deref()
+            .expect("a declared support");
+        // Models as (name, width, height), read through the values a
+        // scenario sees.
+        let key = |value: &Value| {
+            let Value::Dict(d) = value.unwrap_sample() else {
+                panic!("a model is a dictionary, got {value:?}");
+            };
+            let field = |name| scenic_core::value::dict_get(d, name).expect("model field");
+            (
+                field("name").to_string(),
+                field("width").as_number().unwrap(),
+                field("height").as_number().unwrap(),
+            )
+        };
+        let entries: Vec<_> = support.iter().map(|v| key(&v.to_value())).collect();
+        assert_eq!(entries.len(), CAR_MODELS.len());
+        let mut drawn = vec![0; entries.len()];
+        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+        for _ in 0..10_000 {
+            let mut ctx = scenic_core::value::NativeCtx { rng: &mut rng };
+            let model = key(&(default_model.imp)(&mut ctx, Vec::new(), Vec::new()).unwrap());
+            let i = entries
+                .iter()
+                .position(|e| *e == model)
+                .unwrap_or_else(|| panic!("{model:?} drawn outside the declared support"));
+            drawn[i] += 1;
+        }
+        assert!(drawn.iter().all(|&n| n > 0), "never drawn: {drawn:?}");
+        // The bounds the visibility guard reads off it.
+        let widest = entries.iter().map(|e| e.1).fold(0.0, f64::max);
+        let longest = entries.iter().map(|e| e.2).fold(0.0, f64::max);
+        assert_eq!((widest, longest), (2.5, 11.0));
     }
 
     #[test]

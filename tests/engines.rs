@@ -10,6 +10,7 @@
 //! seeds; any divergence is a lowering bug, not a tolerance issue.
 
 use proptest::prelude::*;
+use scenic::core::SamplerStats;
 use scenic::gta::{MapConfig, World};
 use scenic::prelude::*;
 
@@ -113,6 +114,163 @@ fn engines_agree_on_statistics_and_pruned_sampling() {
             "{name}: engines count rejections differently"
         );
     }
+}
+
+/// `n` scenes of `scenario` rooted at `seed` on `engine`, with prune
+/// guards on as in the CLI.
+fn report(scenario: &scenic::core::Scenario, seed: u64, n: usize, engine: Engine) -> BatchReport {
+    Sampler::new(scenario)
+        .with_seed(seed)
+        .with_engine(engine)
+        .with_pruning()
+        .sample_batch_report(n, 2)
+        .unwrap_or_else(|e| panic!("{engine}, seed {seed}: {e}"))
+}
+
+/// Holds the compiled engine to the AST engine, which does not run the
+/// visibility guard: the same scenes, and per scene the same candidate
+/// count and the same count under each rejection reason. Returns the
+/// totals.
+fn assert_guard_keeps_the_oracle(
+    name: &str,
+    scenario: &scenic::core::Scenario,
+    seed: u64,
+) -> SamplerStats {
+    let ast = report(scenario, seed, 30, Engine::Ast);
+    let compiled = report(scenario, seed, 30, Engine::Compiled);
+    assert_eq!(
+        batch_digest(&ast.scenes),
+        batch_digest(&compiled.scenes),
+        "{name}, seed {seed}: scenes diverge"
+    );
+    for (i, (a, c)) in ast.per_scene.iter().zip(&compiled.per_scene).enumerate() {
+        assert_eq!(a, c, "{name}, seed {seed}: statistics of scene {i} diverge");
+    }
+    compiled.total_stats()
+}
+
+#[test]
+fn the_visibility_guard_keeps_scenes_and_rejection_reasons() {
+    for name in ["simplest.scenic", "gta_oncoming.scenic"] {
+        let scenario = compile_bundled(name, "gta");
+        for seed in [1, 7] {
+            assert_guard_keeps_the_oracle(name, &scenario, seed);
+        }
+    }
+}
+
+/// An ego on the 8 m mars square that sees a disc of 1 m, and a pipe
+/// (up to 2 m long) drawn anywhere: most candidates cannot be seen, and
+/// those near the edge must still count as containment.
+const FAR_PIPE: &str = "ego = Rover at 0 @ 0, with viewDistance 1\nPipe\n";
+
+/// Half the time the second rock lands on a rock that need not be
+/// visible: those candidates must count as collisions, though the ego
+/// cannot see them either.
+const ROCK_ON_A_HIDDEN_ROCK: &str = "ego = Rover at 0 @ 0, with viewDistance 1\n\
+     hidden = Rock with requireVisible False\n\
+     Rock at Uniform(hidden.position, 0 @ 1)\n";
+
+#[test]
+fn guard_fixtures_count_rejections_where_the_full_checks_do() {
+    let mars = scenic::mars::world();
+    // Each total is the parent commit's, before the guard existed.
+    let far = compile_with_world(FAR_PIPE, &mars).unwrap();
+    assert_eq!(
+        assert_guard_keeps_the_oracle("far pipe", &far, 1),
+        SamplerStats {
+            scenes: 30,
+            iterations: 384,
+            collision_rejections: 23,
+            containment_rejections: 66,
+            visibility_rejections: 249,
+            prune_containment_rejections: 16,
+            ..SamplerStats::default()
+        }
+    );
+    let on_top = compile_with_world(ROCK_ON_A_HIDDEN_ROCK, &mars).unwrap();
+    assert_eq!(
+        assert_guard_keeps_the_oracle("rock on a hidden rock", &on_top, 1),
+        SamplerStats {
+            scenes: 30,
+            iterations: 77,
+            collision_rejections: 44,
+            containment_rejections: 1,
+            prune_containment_rejections: 2,
+            ..SamplerStats::default()
+        }
+    );
+}
+
+/// `1e308 * 10` overflows to an infinite heading, so the far object's
+/// box has NaN corners, and the full checks see it from the ego's 5 m
+/// disc (a NaN fails the distance test that would rule it out): the
+/// candidate is accepted. The far object's site is guarded, so the
+/// guard must not take that box to lie within its circumradius of its
+/// position.
+#[test]
+fn a_box_with_an_infinite_heading_is_left_to_the_full_checks() {
+    let scenario = compile(
+        "ego = Object at 0 @ 0, with viewDistance 5, with allowCollisions True\n\
+         Object at 100 @ 0, with heading (1e308 * 10)\n",
+    )
+    .unwrap();
+    let [ast, compiled] = [Engine::Ast, Engine::Compiled].map(|engine| {
+        Sampler::new(&scenario)
+            .with_seed(1)
+            .with_engine(engine)
+            .sample_batch_report(1, 1)
+            .unwrap()
+    });
+    assert_eq!(
+        ast.per_scene[0].iterations, 1,
+        "accepted at the first candidate"
+    );
+    assert_eq!(compiled.per_scene, ast.per_scene);
+    assert_eq!(batch_digest(&compiled.scenes), batch_digest(&ast.scenes));
+}
+
+/// The guard is invisible in scenes and statistics by design; what it
+/// changes is how much of a doomed candidate runs. A guarded candidate
+/// skips the rows after `position` — on a gta `Car`, the model and
+/// color draws — so after it the compiled engine's generator differs
+/// from the AST engine's. That pins where the guard fires on the real
+/// gta world: an ego `Car` sees 30 m straight ahead, and the bound on a
+/// `Car`'s circumradius is `hypot(2.5, 11) / 2`, from the support
+/// `CarModel.defaultModel()` declares.
+#[test]
+fn the_gta_car_guard_fires_beyond_its_declared_radius() {
+    use rand::SeedableRng;
+    let world = World::generate(MapConfig::default());
+    let center = world.map.bounds.center();
+    let radius = 1.25f64.hypot(5.5);
+    let fires = |site: &str, distance: f64| {
+        let source = format!(
+            "ego = Car at {x} @ {y}, facing 0 deg\n{site} at {x} @ {}\n",
+            center.y + distance,
+            x = center.x,
+            y = center.y,
+        );
+        let scenario = compile_with_world(&source, world.core()).unwrap();
+        let run = |engine| {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+            let outcome = scenario
+                .generate_with(&mut rng, None, engine)
+                .map(|s| s.to_json());
+            (outcome, rng)
+        };
+        let (ast, ast_rng) = run(Engine::Ast);
+        let (compiled, compiled_rng) = run(Engine::Compiled);
+        assert_eq!(ast, compiled, "{source}");
+        ast_rng != compiled_rng
+    };
+    assert!(fires("Car", 30.0 + radius + 1e-3));
+    assert!(!fires("Car", 30.0 + radius - 1e-3));
+    assert!(!fires("Car", 20.0));
+    // No guard for an explicit model, or for a class of the program.
+    assert!(!fires("Car with model CarModel.models['BUS'],", 50.0));
+    let van = "class Van(Car):\n    roadDeviation: 0\nVan";
+    assert!(!fires(van, 50.0));
 }
 
 /// The differential tests above would pass vacuously if the compiled
