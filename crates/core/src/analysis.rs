@@ -455,7 +455,9 @@ fn collect_uses(stmts: &[Stmt], uses: &mut HashSet<String>) {
     for stmt in stmts {
         match &stmt.kind {
             StmtKind::Import(_) | StmtKind::Pass => {}
-            StmtKind::Assign { value, .. } => collect_expr_uses(value, uses),
+            StmtKind::Assign { value, .. } | StmtKind::Store { value, .. } => {
+                collect_expr_uses(value, uses)
+            }
             StmtKind::Param(params) => {
                 for (_, e) in params {
                     collect_expr_uses(e, uses);
@@ -541,7 +543,7 @@ fn collect_expr_uses(expr: &Expr, uses: &mut HashSet<String>) {
 pub(crate) fn walk_subexprs(expr: &Expr, f: &mut impl FnMut(&Expr)) {
     use Expr::*;
     match expr {
-        Number(_) | Bool(_) | Str(_) | None | Ident(_) => {}
+        Number(_) | Bool(_) | Str(_) | None | Ident(_) | Resolved(_) => {}
         Vector(a, b)
         | Interval(a, b)
         | RelativeTo(a, b)
@@ -880,7 +882,11 @@ impl<'a> Analyzer<'a> {
         for stmt in &program.statements {
             match &stmt.kind {
                 StmtKind::Import(_) | StmtKind::Pass | StmtKind::Return(_) => {}
-                StmtKind::Assign { name, value } => {
+                StmtKind::Assign { name, value }
+                | StmtKind::Store {
+                    target: scenic_lang::Resolved { name, .. },
+                    value,
+                } => {
                     let v = self.eval(value);
                     if let AbsValue::Object(obj) = &v {
                         self.check_workspace(obj, stmt.span, diags);
@@ -1052,7 +1058,9 @@ impl<'a> Analyzer<'a> {
             Bool(b) => AbsValue::Bool(if *b { AbsBool::True } else { AbsBool::False }),
             Str(_) => AbsValue::Top,
             Expr::None => AbsValue::None,
-            Ident(name) => self.env.get(name).cloned().unwrap_or(AbsValue::Top),
+            Ident(name) | Resolved(scenic_lang::Resolved { name, .. }) => {
+                self.env.get(name).cloned().unwrap_or(AbsValue::Top)
+            }
             Vector(a, b) => {
                 let (x, y) = (self.eval(a), self.eval(b));
                 match (x.as_num(), y.as_num()) {
@@ -1172,7 +1180,9 @@ impl<'a> Analyzer<'a> {
                     },
                 }
             }
-            Ctor { class, specifiers } => self.eval_ctor(class, specifiers),
+            Ctor {
+                class, specifiers, ..
+            } => self.eval_ctor(class, specifiers),
         }
     }
 

@@ -8,8 +8,9 @@
 use crate::env::{define, EnvRef};
 use crate::error::{RunResult, ScenicError};
 use crate::value::{DistSpec, NativeCtx, NativeFn, Value};
+use std::collections::HashSet;
 use std::rc::Rc;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 fn native(
     name: &str,
@@ -29,6 +30,19 @@ fn arity_error(name: &str, expected: &str, got: usize) -> ScenicError {
     ScenicError::runtime(format!(
         "{name}() expects {expected} argument(s), got {got}"
     ))
+}
+
+/// The names [`install`] binds, worked out once per process.
+pub(crate) fn names() -> &'static HashSet<String> {
+    static NAMES: OnceLock<HashSet<String>> = OnceLock::new();
+    NAMES.get_or_init(|| {
+        let env = crate::env::Scope::root();
+        install(&env);
+        crate::env::own_vars(&env)
+            .into_iter()
+            .map(|(name, _)| name)
+            .collect()
+    })
 }
 
 /// Installs the builtins into an environment.

@@ -145,12 +145,12 @@ fn collect_self_deps(expr: &Expr, out: &mut Vec<String>) {
     use Expr::*;
     match expr {
         Attribute { obj, name } => {
-            if matches!(&**obj, Ident(id) if id == "self") {
+            if obj.ident() == Some("self") {
                 out.push(name.clone());
             }
             collect_self_deps(obj, out);
         }
-        Number(_) | Bool(_) | Str(_) | None | Ident(_) => {}
+        Number(_) | Bool(_) | Str(_) | None | Ident(_) | Resolved(_) => {}
         Vector(a, b) | Interval(a, b) => {
             collect_self_deps(a, out);
             collect_self_deps(b, out);

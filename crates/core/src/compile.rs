@@ -24,14 +24,19 @@
 //!   `workspace`, prelude, auto-imports) once per thread into a shared
 //!   *base environment*; each candidate then runs only the user program
 //!   in a fresh child scope of that base.
-//! - **Construction staging** caches, per library class, the staged
-//!   default-value specifiers (an `Rc` clone per candidate instead of a
-//!   rebuilt list plus dependency walk) and, per construction *site*,
-//!   the specifier metadata rows, their Algorithm 1 resolution and the
-//!   property layout it implies (`CtorStage`) — revalidated each
-//!   candidate by a cheap per-entry shape tag, since metadata depends
-//!   only on the specifier syntax and that classification, never on the
-//!   values drawn.
+//! - **Name resolution** rewrites, in the hoisted path's copy of the
+//!   programs, each name a candidate reads or writes into an address
+//!   (lexical addressing, SICP §5.5.6): a slot of the hoisted base, of
+//!   the candidate's frame or of a function frame, so no candidate hashes
+//!   a name or walks a scope chain for it. A name whose scope resolution
+//!   cannot prove keeps its lookup by name (see `resolve`). Every
+//!   construction site gets a dense id.
+//! - **Construction staging** caches, per construction *site* (by id),
+//!   the class's default-value specifiers, the specifier metadata rows,
+//!   their Algorithm 1 resolution and the property layout it implies
+//!   (`CtorStage`) — revalidated each candidate by the class and a cheap
+//!   per-entry shape tag, since metadata depends only on the specifier
+//!   syntax and that classification, never on the values drawn.
 //!
 //! # Why the RNG stream is identical
 //!
@@ -49,6 +54,9 @@
 //!   before and after (the vendored [`StdRng`] is `PartialEq`). A
 //!   prefix that consumed randomness — or created objects, parameters,
 //!   or requirements — disqualifies hoisting.
+//! - Resolution only changes where a value is found, never which value:
+//!   a name gets a slot only where every binding and read of it agrees on
+//!   the scope it lives in.
 //! - Construction staging caches pure metadata only; evaluation of the
 //!   staged expressions still happens per candidate, in the same order
 //!   the interpreter would evaluate them.
@@ -74,10 +82,11 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use scenic_geom::region::HalfPlanes;
 use scenic_lang::ast::{
-    BinOp, ClassDef, CmpOp, Expr, FuncDef, Program, Specifier, SpecifierDef, Stmt, StmtKind,
+    Addr, BinOp, ClassDef, CmpOp, CtorSite, Expr, FuncDef, Program, Resolved, Specifier,
+    SpecifierDef, Stmt, StmtKind,
 };
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fmt;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -130,10 +139,12 @@ impl fmt::Display for Engine {
 pub struct CompiledProgram {
     /// Process-unique identity for the per-thread base cache.
     id: u64,
-    /// The constant-folded scenario (same world, shared prune plan).
+    /// The constant-folded scenario (same world, shared prune plan): what
+    /// the fallback path runs.
     folded: Scenario,
-    /// Static hoist-safety verdict; `false` forces the fallback path.
-    hoistable: bool,
+    /// The folded scenario with its names resolved, which the hoisted
+    /// path runs; `None` when the static hoist-safety check failed.
+    resolved: Option<Resolution>,
     /// Names a candidate might `assign`. If any of them names a base
     /// variable, assignment would write the shared base scope and leak
     /// state across candidates — checked against the built base.
@@ -164,29 +175,20 @@ struct HoistedBase {
     cache: Rc<ExecCache>,
 }
 
-/// Per-thread construction caches handed to each candidate's
-/// interpreter: staged class defaults and memoized specifier
-/// resolution. Keyed to one base environment — entries are only valid
-/// (and only looked up) for classes whose defining scope *is* that
-/// base.
+/// Per-thread state handed to each candidate's interpreter on the
+/// hoisted path: the base's resolved values and the staged construction
+/// sites. Keyed to one base environment — only classes whose defining
+/// scope *is* that base are staged.
 pub(crate) struct ExecCache {
     /// The base scope the cached classes live in.
     pub(crate) base_env: EnvRef,
-    /// Staged defaults keyed by class pointer identity.
-    pub(crate) defaults: RefCell<HashMap<usize, Rc<Vec<CachedDefault>>>>,
-    /// Staged construction sites keyed by `(specifier-list pointer,
-    /// class pointer)`. Both pointers are stable for the cache's
-    /// lifetime: only classes living in `base_env` (which this cache
-    /// keeps alive) are staged, and every specifier list lives in the
-    /// folded program this cache was built for. That holds because
-    /// running a program never copies its syntax: `def` and `specifier`
-    /// values, class defaults and deferred `require`s share their
-    /// definitions with the program (`Arc`s in the AST), and a deferred
-    /// specifier argument borrows its expression. A copied site would
-    /// get a fresh address per candidate, growing the cache, and a
-    /// freed copy's address could be reused by another site, running
-    /// that site's stage.
-    pub(crate) ctors: RefCell<HashMap<(usize, usize), Rc<CtorStage>>>,
+    /// The value of each base slot ([`Addr::Base`]), read once from the
+    /// base, which no candidate writes.
+    pub(crate) base_slots: Vec<Value>,
+    /// Slots in a candidate's frame ([`Addr::Candidate`]).
+    pub(crate) frame_len: usize,
+    /// Staged construction sites by site id ([`CtorSite::id`]).
+    pub(crate) sites: RefCell<Vec<Option<Rc<CtorStage>>>>,
     /// The workspace as half-planes, when that is exact: what the
     /// visibility guard needs to know an object's disc lies inside it.
     pub(crate) workspace: Option<HalfPlanes>,
@@ -198,10 +200,16 @@ pub(crate) struct ExecCache {
 /// construction and reused by every later candidate whose per-run
 /// specifier classification matches.
 pub(crate) struct CtorStage {
+    /// The class staged, by address: a site whose class name is looked up
+    /// by name could construct another class on a later candidate.
+    pub(crate) class: usize,
     /// Per-entry classification fingerprint validating reuse — the only
     /// run-to-run variability in a site's metadata (see
     /// [`crate::interp::ActionShape`]).
     pub(crate) shapes: Vec<crate::interp::ActionShape>,
+    /// The class's staged default-value specifiers: rows past the
+    /// explicit specifiers index them.
+    pub(crate) defaults: Vec<CachedDefault>,
     /// Specifier metadata rows, aligned with the prepared actions.
     pub(crate) metas: Vec<SpecMeta>,
     /// The resolved specifier order over `metas`.
@@ -266,7 +274,9 @@ pub(crate) fn lower(scenario: &Scenario) -> CompiledProgram {
     // `self` in a class default is bound by the interpreter before the
     // expression evaluates, in both engines — never a free reference.
     library_refs.remove("self");
-    let hoistable = user_defined.is_disjoint(&library_refs);
+    let resolved = user_defined
+        .is_disjoint(&library_refs)
+        .then(|| resolve(&folded));
 
     // Assignment targets that can execute during a candidate: the whole
     // user program, function/specifier bodies anywhere (they only run
@@ -287,7 +297,7 @@ pub(crate) fn lower(scenario: &Scenario) -> CompiledProgram {
     CompiledProgram {
         id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
         folded,
-        hoistable,
+        resolved,
         mutable_names,
     }
 }
@@ -309,9 +319,10 @@ impl CompiledProgram {
     ) -> RunResult<Scene> {
         match self.base() {
             Some(base) => {
+                let resolved = self.resolved.as_ref().expect("a hoisted base is resolved");
                 let globals = Scope::child(&base.globals);
                 let mut interp = Interpreter::with_base(
-                    &self.folded,
+                    &resolved.scenario,
                     rng,
                     globals,
                     Rc::clone(&base.imported),
@@ -337,10 +348,69 @@ impl CompiledProgram {
         &self.folded
     }
 
-    fn base(&self) -> Option<Rc<HoistedBase>> {
-        if !self.hoistable {
-            return None;
+    /// The names the hoisted path still looks up by name, sorted: in the
+    /// user program (its function and specifier bodies included) and in
+    /// the class defaults of every program. `None` when the scenario
+    /// cannot hoist. A user program that defines no functions, classes or
+    /// specifiers, loops or `mutate`s, imports nothing and shadows no base
+    /// name has none.
+    pub fn unresolved_names(&self) -> Option<Vec<String>> {
+        let scenario = &self.resolved.as_ref()?.scenario;
+        let mut names = BTreeSet::new();
+        let mut from_expr = |e: &Expr| match e {
+            Expr::Ident(name) => {
+                names.insert(name.clone());
+            }
+            Expr::Ctor {
+                class,
+                specifiers,
+                site,
+            } => {
+                if site.is_none_or(|s| s.class.is_none()) {
+                    names.insert(class.clone());
+                }
+                for spec in specifiers {
+                    if let Specifier::Using { name, .. } = spec {
+                        names.insert(name.clone());
+                    }
+                }
+            }
+            _ => {}
+        };
+        let mut bound = BTreeSet::new();
+        for_each_stmt(&scenario.program.statements, &mut |stmt| {
+            for_each_expr(stmt, &mut from_expr);
+            match &stmt.kind {
+                StmtKind::Assign { name, .. } | StmtKind::For { var: name, .. } => {
+                    bound.insert(name.clone());
+                }
+                StmtKind::FuncDef(fd) => {
+                    bound.insert(fd.name.clone());
+                }
+                StmtKind::SpecifierDef(sd) => {
+                    bound.insert(sd.name.clone());
+                }
+                StmtKind::ClassDef(cd) => {
+                    bound.insert(cd.name.clone());
+                    bound.extend(cd.superclass.iter().cloned());
+                }
+                StmtKind::Mutate { targets, .. } => bound.extend(targets.iter().cloned()),
+                _ => {}
+            }
+        });
+        for program in scenario.all_programs() {
+            for_each_stmt(&program.statements, &mut |stmt| {
+                if let StmtKind::ClassDef(_) = stmt.kind {
+                    for_each_expr(stmt, &mut from_expr);
+                }
+            });
         }
+        names.extend(bound);
+        Some(names.into_iter().collect())
+    }
+
+    fn base(&self) -> Option<Rc<HoistedBase>> {
+        self.resolved.as_ref()?;
         if let Some(cached) = BASES.with(|b| b.borrow().get(&self.id).cloned()) {
             return cached;
         }
@@ -360,10 +430,11 @@ impl CompiledProgram {
     /// randomness, allocates no per-candidate state, and leaves no
     /// value in the base scope that a candidate could mutate in place.
     fn build_base(&self) -> Option<HoistedBase> {
+        let resolved = self.resolved.as_ref()?;
         let mut rng = StdRng::seed_from_u64(0);
         let snapshot = rng.clone();
         let (globals, imported, clean) = {
-            let mut interp = Interpreter::new(&self.folded, &mut rng);
+            let mut interp = Interpreter::new(&resolved.scenario, &mut rng);
             if interp.run_prefix().is_err() {
                 return None;
             }
@@ -374,18 +445,25 @@ impl CompiledProgram {
         if rng != snapshot || !clean {
             return None;
         }
-        for (name, value) in own_vars(&globals) {
-            if self.mutable_names.contains(&name) {
-                return None;
-            }
-            if !value_is_hoist_safe(&value, &globals) {
+        let vars: HashMap<String, Value> = own_vars(&globals).into_iter().collect();
+        for (name, value) in &vars {
+            if self.mutable_names.contains(name)
+                || !resolved.base_names.contains(name)
+                || !value_is_hoist_safe(value, &globals)
+            {
                 return None;
             }
         }
+        let base_slots = resolved
+            .base_slots
+            .iter()
+            .map(|name| vars.get(name).cloned())
+            .collect::<Option<Vec<Value>>>()?;
         let cache = Rc::new(ExecCache {
             base_env: globals.clone(),
-            defaults: RefCell::new(HashMap::new()),
-            ctors: RefCell::new(HashMap::new()),
+            base_slots,
+            frame_len: resolved.frame_len,
+            sites: RefCell::new(vec![None; resolved.sites]),
             workspace: self.folded.world.workspace.half_planes(),
         });
         Some(HoistedBase {
@@ -406,11 +484,12 @@ impl CompiledProgram {
             panic!("`{class}` is not a base class");
         };
         let class = Rc::as_ptr(&class) as usize;
-        let ctors = base.cache.ctors.borrow();
-        ctors
+        let sites = base.cache.sites.borrow();
+        sites
             .iter()
-            .filter(|((_, staged), _)| *staged == class)
-            .map(|(_, stage)| stage.guard)
+            .flatten()
+            .filter(|stage| stage.class == class)
+            .map(|stage| stage.guard)
             .collect()
     }
 }
@@ -443,6 +522,682 @@ fn value_is_hoist_safe(value: &Value, base: &EnvRef) -> bool {
 }
 
 // ---------------------------------------------------------------------
+// Name resolution (lexical addressing)
+// ---------------------------------------------------------------------
+
+/// The compiled engine's copy of a hoistable scenario, its names
+/// rewritten to addresses (SICP §5.5.6), with what the base build needs
+/// to run it.
+#[derive(Debug)]
+struct Resolution {
+    /// The folded scenario with resolved programs (same world and plans).
+    scenario: Scenario,
+    /// The base name behind each base slot.
+    base_slots: Vec<String>,
+    /// Every name resolution assumed the hoisted base may bind: a base
+    /// binding any other name is not the one it reasoned about.
+    base_names: HashSet<String>,
+    /// Slots in a candidate's frame.
+    frame_len: usize,
+    /// Construction sites numbered.
+    sites: usize,
+}
+
+/// Resolves the names of a folded, statically hoistable scenario.
+///
+/// A name a candidate reads or writes gets one of three addresses: a
+/// slot of the hoisted base, a slot of the candidate's frame (a top-level
+/// name of the user program) or a slot of a function or specifier
+/// frame. Scoping is dynamic in ways slots cannot follow, so a name keeps
+/// its lookup by name, everywhere, when
+///
+/// - a frame binds it and an enclosing frame or the base may bind it
+///   too: an `assign` writes whichever scope holds the name when it
+///   runs, and a read before the frame's own binding falls through to
+///   the outer one (parameters are exempt: the call binds them before
+///   the body runs);
+/// - a non-auto `import` may bind it in the candidate's scope.
+///
+/// A name the interpreter binds or looks up as a string — a `def`,
+/// `class` or `specifier` name, a superclass, a loop variable, a `mutate`
+/// target or a `using` name — never lives in a frame slot; it may still
+/// read as a base slot, since the base keeps its table.
+///
+/// `self` in a class default is the object whose default evaluates. The
+/// top-level statements of the prelude and the auto-imported modules run
+/// once, into the base, by name; their class defaults and function
+/// bodies, which run per candidate, are resolved.
+fn resolve(folded: &Scenario) -> Resolution {
+    let world = &folded.world;
+    let is_auto = |m: &str| world.auto_imports.iter().any(|a| a == m);
+    let module_names = |m: &str, out: &mut HashSet<String>| {
+        if let Some(module) = world.module(m) {
+            out.extend(module.natives.iter().map(|(name, _)| name.clone()));
+        }
+        if let Some(program) = folded.module_programs.get(m) {
+            defined_names(&program.statements, out);
+        }
+    };
+    let mut modules: Vec<(&String, &Arc<Program>)> = folded.module_programs.iter().collect();
+    modules.sort_by_key(|(name, _)| *name);
+    let prefix: Vec<&Program> = std::iter::once(&*folded.prelude)
+        .chain(
+            world
+                .auto_imports
+                .iter()
+                .filter_map(|m| folded.module_programs.get(m).map(|p| &**p)),
+        )
+        .collect();
+    let imported: Vec<&Program> = modules
+        .iter()
+        .filter(|(name, _)| !is_auto(name))
+        .map(|(_, p)| &***p)
+        .collect();
+
+    // What the base binds: the builtins, `workspace`, the auto-imported
+    // natives and the prefix's top-level bindings.
+    let mut base_names = crate::builtins::names().clone();
+    base_names.insert("workspace".into());
+    for module in world.auto_imports.iter().filter_map(|m| world.module(m)) {
+        base_names.extend(module.natives.iter().map(|(name, _)| name.clone()));
+    }
+    for program in &prefix {
+        let mut binds = Vec::new();
+        frame_binds(&program.statements, &mut binds);
+        base_names.extend(binds);
+        for_each_stmt(&program.statements, &mut |stmt| {
+            if let StmtKind::Import(m) = &stmt.kind {
+                module_names(m, &mut base_names);
+            }
+        });
+    }
+
+    // Names the interpreter binds or looks up as strings, which never
+    // take a frame slot, and names looked up by name everywhere: those a
+    // non-auto `import` may bind, and (below) those a frame binds where
+    // the base or an enclosing frame may bind them too.
+    let mut unslotted = HashSet::new();
+    let mut by_name = HashSet::new();
+    for program in std::iter::once(&*folded.program)
+        .chain(prefix.iter().copied())
+        .chain(imported.iter().copied())
+    {
+        for_each_stmt(&program.statements, &mut |stmt| {
+            match &stmt.kind {
+                StmtKind::FuncDef(fd) => {
+                    unslotted.insert(fd.name.clone());
+                }
+                StmtKind::SpecifierDef(sd) => {
+                    unslotted.insert(sd.name.clone());
+                }
+                StmtKind::ClassDef(cd) => {
+                    unslotted.insert(cd.name.clone());
+                    unslotted.extend(cd.superclass.iter().cloned());
+                }
+                StmtKind::For { var, .. } => {
+                    unslotted.insert(var.clone());
+                }
+                StmtKind::Mutate { targets, .. } => unslotted.extend(targets.iter().cloned()),
+                StmtKind::Import(m) if !is_auto(m) => module_names(m, &mut by_name),
+                _ => {}
+            }
+            for_each_expr(stmt, &mut |e| {
+                if let Expr::Ctor { specifiers, .. } = e {
+                    for spec in specifiers {
+                        if let Specifier::Using { name, .. } = spec {
+                            unslotted.insert(name.clone());
+                        }
+                    }
+                }
+            });
+        });
+    }
+    let mut top = Vec::new();
+    frame_binds(&folded.program.statements, &mut top);
+    by_name.extend(top.iter().filter(|n| base_names.contains(*n)).cloned());
+    let top: HashSet<String> = top.into_iter().collect();
+    shadowing_in_defs(
+        &folded.program.statements,
+        &mut vec![top.clone()],
+        &base_names,
+        &mut by_name,
+    );
+    // An imported module's top level runs in the candidate's scope.
+    for program in &imported {
+        let mut binds = Vec::new();
+        frame_binds(&program.statements, &mut binds);
+        let mut outer = vec![top.iter().cloned().chain(binds).collect()];
+        shadowing_in_defs(&program.statements, &mut outer, &base_names, &mut by_name);
+    }
+    for program in &prefix {
+        shadowing_in_defs(
+            &program.statements,
+            &mut Vec::new(),
+            &base_names,
+            &mut by_name,
+        );
+    }
+    unslotted.extend(by_name.iter().cloned());
+
+    let mut resolver = Resolver {
+        base_names: &base_names,
+        by_name: &by_name,
+        unslotted: &unslotted,
+        base_index: HashMap::new(),
+        base_slots: Vec::new(),
+        frames: Vec::new(),
+        candidate_root: true,
+        in_default: false,
+        sites: 0,
+    };
+    // The user program, and the modules it imports, run in the
+    // candidate's frame.
+    let mut program = (*folded.program).clone();
+    resolver.enter(&[], &program.statements);
+    resolver.block(&mut program.statements);
+    let mut module_programs = HashMap::new();
+    for (name, source) in &modules {
+        if !is_auto(name) {
+            let mut p = (***source).clone();
+            resolver.block(&mut p.statements);
+            module_programs.insert((*name).clone(), Arc::new(p));
+        }
+    }
+    let frame_len = resolver.frames[0].len();
+    resolver.frames.clear();
+    resolver.candidate_root = false;
+    let mut prelude = (*folded.prelude).clone();
+    resolver.prefix(&mut prelude.statements);
+    for (name, source) in &modules {
+        if is_auto(name) {
+            let mut p = (***source).clone();
+            resolver.prefix(&mut p.statements);
+            module_programs.insert((*name).clone(), Arc::new(p));
+        }
+    }
+    let (base_slots, sites) = (resolver.base_slots, resolver.sites as usize);
+    Resolution {
+        scenario: Scenario {
+            program: Arc::new(program),
+            world: folded.world.clone(),
+            prelude: Arc::new(prelude),
+            module_programs,
+            prune: Arc::clone(&folded.prune),
+            compiled: Arc::new(std::sync::OnceLock::new()),
+            early: Arc::clone(&folded.early),
+        },
+        base_slots,
+        base_names,
+        frame_len,
+        sites,
+    }
+}
+
+/// The names a frame's own statements bind, in order of first binding:
+/// assignment targets, `def`, `class` and `specifier` names and loop
+/// variables, through `if`/`for`/`while` bodies but not into nested
+/// function or specifier bodies (each is a frame of its own).
+fn frame_binds(stmts: &[Stmt], out: &mut Vec<String>) {
+    for stmt in stmts {
+        let name = match &stmt.kind {
+            StmtKind::Assign { name, .. } => Some(name),
+            StmtKind::ClassDef(cd) => Some(&cd.name),
+            StmtKind::FuncDef(fd) => Some(&fd.name),
+            StmtKind::SpecifierDef(sd) => Some(&sd.name),
+            StmtKind::For { var, .. } => Some(var),
+            _ => None,
+        };
+        if let Some(name) = name.filter(|n| !out.contains(n)) {
+            out.push(name.clone());
+        }
+        match &stmt.kind {
+            StmtKind::If {
+                branches,
+                else_body,
+            } => {
+                for (_, body) in branches {
+                    frame_binds(body, out);
+                }
+                frame_binds(else_body, out);
+            }
+            StmtKind::For { body, .. } | StmtKind::While { body, .. } => frame_binds(body, out),
+            _ => {}
+        }
+    }
+}
+
+/// Adds to `by_name` every name a function or specifier frame under
+/// `stmts` binds (other than as a parameter) that the base or an
+/// enclosing frame (`outer`, innermost last) binds too.
+fn shadowing_in_defs(
+    stmts: &[Stmt],
+    outer: &mut Vec<HashSet<String>>,
+    base: &HashSet<String>,
+    by_name: &mut HashSet<String>,
+) {
+    for stmt in stmts {
+        let (params, body) = match &stmt.kind {
+            StmtKind::FuncDef(fd) => (&fd.params, &fd.body),
+            StmtKind::SpecifierDef(sd) => (&sd.params, &sd.body),
+            StmtKind::If {
+                branches,
+                else_body,
+            } => {
+                for (_, body) in branches {
+                    shadowing_in_defs(body, outer, base, by_name);
+                }
+                shadowing_in_defs(else_body, outer, base, by_name);
+                continue;
+            }
+            StmtKind::For { body, .. } | StmtKind::While { body, .. } => {
+                shadowing_in_defs(body, outer, base, by_name);
+                continue;
+            }
+            _ => continue,
+        };
+        let mut binds = Vec::new();
+        frame_binds(body, &mut binds);
+        for name in &binds {
+            if base.contains(name) || outer.iter().any(|o| o.contains(name)) {
+                by_name.insert(name.clone());
+            }
+        }
+        let mut here: HashSet<String> = binds.into_iter().collect();
+        here.extend(params.iter().map(|(p, _)| p.clone()));
+        outer.push(here);
+        shadowing_in_defs(body, outer, base, by_name);
+        outer.pop();
+    }
+}
+
+/// The rewriting half of [`resolve`].
+struct Resolver<'a> {
+    /// Every name the base may bind.
+    base_names: &'a HashSet<String>,
+    /// Names every program keeps looking up by name.
+    by_name: &'a HashSet<String>,
+    /// Names no frame holds in a slot: `by_name`, and the names the
+    /// interpreter binds or looks up as strings (which the base's own
+    /// table still answers).
+    unslotted: &'a HashSet<String>,
+    /// The base slot of each base name read so far, and the names by slot.
+    base_index: HashMap<String, u32>,
+    base_slots: Vec<String>,
+    /// The frames enclosing the code being resolved, innermost last: each
+    /// maps the names it holds in slots to their slots.
+    frames: Vec<HashMap<String, u32>>,
+    /// Whether the outermost frame is the candidate's.
+    candidate_root: bool,
+    /// Whether a class default is being resolved (`self` is its object).
+    in_default: bool,
+    /// Construction sites numbered so far.
+    sites: u32,
+}
+
+impl Resolver<'_> {
+    /// Opens a frame holding `params` and the names `body` binds, and
+    /// returns each parameter's slot.
+    fn enter(&mut self, params: &[(String, Option<Expr>)], body: &[Stmt]) -> Vec<Option<u32>> {
+        let mut frame = HashMap::new();
+        let mut slot_of = |name: &String| {
+            let next = frame.len() as u32;
+            (!self.unslotted.contains(name)).then(|| *frame.entry(name.clone()).or_insert(next))
+        };
+        let param_slots = params.iter().map(|(p, _)| slot_of(p)).collect();
+        let mut binds = Vec::new();
+        frame_binds(body, &mut binds);
+        for name in &binds {
+            slot_of(name);
+        }
+        self.frames.push(frame);
+        param_slots
+    }
+
+    /// Where `name` lives from the code being resolved, if resolution can
+    /// place it.
+    fn addr(&mut self, name: &str) -> Option<Addr> {
+        if self.in_default && name == "self" {
+            return Some(Addr::DefaultSelf);
+        }
+        if self.by_name.contains(name) {
+            return None;
+        }
+        let depth = self.frames.len();
+        for (hops, frame) in self.frames.iter().rev().enumerate() {
+            if let Some(&slot) = frame.get(name) {
+                return Some(if self.candidate_root && hops + 1 == depth {
+                    Addr::Candidate(slot)
+                } else {
+                    Addr::Local {
+                        hops: hops as u32,
+                        slot,
+                    }
+                });
+            }
+        }
+        if !self.base_names.contains(name) {
+            return None;
+        }
+        let slots = &mut self.base_slots;
+        let slot = *self.base_index.entry(name.to_string()).or_insert_with(|| {
+            slots.push(name.to_string());
+            slots.len() as u32 - 1
+        });
+        Some(Addr::Base(slot))
+    }
+
+    /// Resolves the statements of the innermost frame.
+    fn block(&mut self, stmts: &mut [Stmt]) {
+        for stmt in stmts {
+            self.stmt(stmt);
+        }
+    }
+
+    fn stmt(&mut self, stmt: &mut Stmt) {
+        match &mut stmt.kind {
+            StmtKind::Import(_) | StmtKind::Pass | StmtKind::Store { .. } => {}
+            StmtKind::Assign { name, value } => {
+                self.expr(value);
+                if let Some(addr) = self.addr(name) {
+                    let target = Resolved {
+                        name: std::mem::take(name),
+                        addr,
+                    };
+                    let value = std::mem::replace(value, Expr::None);
+                    stmt.kind = StmtKind::Store { target, value };
+                }
+            }
+            StmtKind::Param(params) => {
+                for (_, e) in params {
+                    self.expr(e);
+                }
+            }
+            StmtKind::ClassDef(cd) => self.class_defaults(cd),
+            StmtKind::Expr(e) | StmtKind::Return(Some(e)) => self.expr(e),
+            StmtKind::Return(None) => {}
+            StmtKind::Require { prob, cond } => {
+                if let Some(p) = prob {
+                    self.expr(p);
+                }
+                self.expr(Arc::make_mut(cond));
+            }
+            StmtKind::Mutate { scale, .. } => {
+                if let Some(s) = scale {
+                    self.expr(s);
+                }
+            }
+            StmtKind::FuncDef(fd) => {
+                let fd = Arc::make_mut(fd);
+                fd.param_slots = self.def(&mut fd.params, &mut fd.body);
+            }
+            StmtKind::SpecifierDef(sd) => {
+                let sd = Arc::make_mut(sd);
+                sd.param_slots = self.def(&mut sd.params, &mut sd.body);
+            }
+            StmtKind::If {
+                branches,
+                else_body,
+            } => {
+                for (cond, body) in branches {
+                    self.expr(cond);
+                    self.block(body);
+                }
+                self.block(else_body);
+            }
+            StmtKind::For { iter, body, .. } => {
+                self.expr(iter);
+                self.block(body);
+            }
+            StmtKind::While { cond, body } => {
+                self.expr(cond);
+                self.block(body);
+            }
+        }
+    }
+
+    /// Resolves the class defaults and function and specifier bodies of
+    /// base-level statements, which themselves run by name.
+    fn prefix(&mut self, stmts: &mut [Stmt]) {
+        for stmt in stmts {
+            match &mut stmt.kind {
+                StmtKind::ClassDef(cd) => self.class_defaults(cd),
+                StmtKind::FuncDef(fd) => {
+                    let fd = Arc::make_mut(fd);
+                    fd.param_slots = self.def(&mut fd.params, &mut fd.body);
+                }
+                StmtKind::SpecifierDef(sd) => {
+                    let sd = Arc::make_mut(sd);
+                    sd.param_slots = self.def(&mut sd.params, &mut sd.body);
+                }
+                StmtKind::If {
+                    branches,
+                    else_body,
+                } => {
+                    for (_, body) in branches {
+                        self.prefix(body);
+                    }
+                    self.prefix(else_body);
+                }
+                StmtKind::For { body, .. } | StmtKind::While { body, .. } => self.prefix(body),
+                _ => {}
+            }
+        }
+    }
+
+    /// Resolves a function or specifier definition: its parameter
+    /// defaults in the defining frame, its body in a frame of its own.
+    fn def(
+        &mut self,
+        params: &mut [(String, Option<Expr>)],
+        body: &mut [Stmt],
+    ) -> Vec<Option<u32>> {
+        for (_, default) in params.iter_mut() {
+            if let Some(d) = default {
+                self.expr(d);
+            }
+        }
+        let slots = self.enter(params, body);
+        self.block(body);
+        self.frames.pop();
+        slots
+    }
+
+    fn class_defaults(&mut self, cd: &mut ClassDef) {
+        self.in_default = true;
+        for (_, e) in &mut cd.properties {
+            self.expr(Arc::make_mut(e));
+        }
+        self.in_default = false;
+    }
+
+    fn expr(&mut self, e: &mut Expr) {
+        match e {
+            Expr::Ident(name) => {
+                if let Some(addr) = self.addr(name) {
+                    let name = std::mem::take(name);
+                    *e = Expr::Resolved(Resolved { name, addr });
+                }
+            }
+            Expr::Ctor {
+                class,
+                specifiers,
+                site,
+            } => {
+                *site = Some(CtorSite {
+                    id: self.sites,
+                    class: self.addr(class),
+                });
+                self.sites += 1;
+                for spec in specifiers {
+                    walk_specifier_mut(spec, &mut |e| self.expr(e));
+                }
+            }
+            _ => walk_subexprs_mut(e, &mut |e| self.expr(e)),
+        }
+    }
+}
+
+/// Calls `f` on every expression node of `stmt`'s own expressions, not
+/// those of the statements nested in it.
+fn for_each_expr(stmt: &Stmt, f: &mut impl FnMut(&Expr)) {
+    fn visit<F: FnMut(&Expr)>(e: &Expr, f: &mut F) {
+        f(e);
+        crate::analysis::walk_subexprs(e, &mut |c| visit(c, &mut *f));
+    }
+    match &stmt.kind {
+        StmtKind::Import(_) | StmtKind::Pass | StmtKind::Return(None) => {}
+        StmtKind::Assign { value, .. } | StmtKind::Store { value, .. } => visit(value, f),
+        StmtKind::Param(params) => params.iter().for_each(|(_, e)| visit(e, f)),
+        StmtKind::ClassDef(cd) => cd.properties.iter().for_each(|(_, e)| visit(e, f)),
+        StmtKind::Expr(e) | StmtKind::Return(Some(e)) => visit(e, f),
+        StmtKind::Require { prob, cond } => {
+            prob.iter().for_each(|p| visit(p, f));
+            visit(cond, f);
+        }
+        StmtKind::Mutate { scale, .. } => scale.iter().for_each(|s| visit(s, f)),
+        StmtKind::FuncDef(fd) => fd
+            .params
+            .iter()
+            .flat_map(|(_, d)| d)
+            .for_each(|d| visit(d, f)),
+        StmtKind::SpecifierDef(sd) => sd
+            .params
+            .iter()
+            .flat_map(|(_, d)| d)
+            .for_each(|d| visit(d, f)),
+        StmtKind::If { branches, .. } => branches.iter().for_each(|(c, _)| visit(c, f)),
+        StmtKind::For { iter: e, .. } | StmtKind::While { cond: e, .. } => visit(e, f),
+    }
+}
+
+/// Calls `f` on every direct subexpression of `expr`, mutably (the
+/// mutable twin of [`crate::analysis::walk_subexprs`]).
+fn walk_subexprs_mut(expr: &mut Expr, f: &mut impl FnMut(&mut Expr)) {
+    match expr {
+        Expr::Number(_)
+        | Expr::Bool(_)
+        | Expr::Str(_)
+        | Expr::None
+        | Expr::Ident(_)
+        | Expr::Resolved(_) => {}
+        Expr::Vector(a, b)
+        | Expr::Interval(a, b)
+        | Expr::RelativeTo(a, b)
+        | Expr::OffsetBy(a, b)
+        | Expr::FieldAt(a, b)
+        | Expr::CanSee(a, b)
+        | Expr::IsIn(a, b)
+        | Expr::VisibleFrom(a, b)
+        | Expr::Index { obj: a, key: b }
+        | Expr::Binary { lhs: a, rhs: b, .. }
+        | Expr::Compare { lhs: a, rhs: b, .. } => {
+            f(a);
+            f(b);
+        }
+        Expr::Call { func, args, kwargs } => {
+            f(func);
+            args.iter_mut().for_each(&mut *f);
+            kwargs.iter_mut().for_each(|(_, e)| f(e));
+        }
+        Expr::Attribute { obj: e, .. }
+        | Expr::Neg(e)
+        | Expr::NotOp(e)
+        | Expr::Deg(e)
+        | Expr::Visible(e)
+        | Expr::BoxPointOf { obj: e, .. } => f(e),
+        Expr::List(items) => items.iter_mut().for_each(&mut *f),
+        Expr::Dict(pairs) => pairs.iter_mut().for_each(|(k, v)| {
+            f(k);
+            f(v);
+        }),
+        Expr::IfElse {
+            cond: a,
+            then: b,
+            otherwise: c,
+        }
+        | Expr::OffsetAlong {
+            base: a,
+            direction: b,
+            offset: c,
+        } => {
+            f(a);
+            f(b);
+            f(c);
+        }
+        Expr::DistanceTo { from, to: e } | Expr::AngleTo { from, to: e } => {
+            from.iter_mut().for_each(|x| f(x));
+            f(e);
+        }
+        Expr::RelativeHeadingOf { of: e, from } | Expr::ApparentHeadingOf { of: e, from } => {
+            f(e);
+            from.iter_mut().for_each(|x| f(x));
+        }
+        Expr::Follow {
+            field,
+            from,
+            distance,
+        } => {
+            f(field);
+            from.iter_mut().for_each(|x| f(x));
+            f(distance);
+        }
+        Expr::Ctor { specifiers, .. } => {
+            for spec in specifiers {
+                walk_specifier_mut(spec, f);
+            }
+        }
+    }
+}
+
+/// Calls `f` on every expression of a specifier, mutably.
+fn walk_specifier_mut(spec: &mut Specifier, f: &mut impl FnMut(&mut Expr)) {
+    match spec {
+        Specifier::With(_, e)
+        | Specifier::At(e)
+        | Specifier::OffsetBy(e)
+        | Specifier::InRegion(e)
+        | Specifier::Facing(e)
+        | Specifier::FacingToward(e)
+        | Specifier::FacingAwayFrom(e) => f(e),
+        Specifier::OffsetAlong(a, b) => {
+            f(a);
+            f(b);
+        }
+        Specifier::Beside { target, by, .. } => {
+            f(target);
+            by.iter_mut().for_each(&mut *f);
+        }
+        Specifier::Beyond {
+            target,
+            offset,
+            from,
+        } => {
+            f(target);
+            f(offset);
+            from.iter_mut().for_each(&mut *f);
+        }
+        Specifier::Visible(from) => from.iter_mut().for_each(&mut *f),
+        Specifier::Following {
+            field,
+            from,
+            distance,
+        } => {
+            f(field);
+            from.iter_mut().for_each(&mut *f);
+            f(distance);
+        }
+        Specifier::ApparentlyFacing { heading, from } => {
+            f(heading);
+            from.iter_mut().for_each(&mut *f);
+        }
+        Specifier::Using { args, kwargs, .. } => {
+            args.iter_mut().for_each(&mut *f);
+            kwargs.iter_mut().for_each(|(_, e)| f(e));
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
 // Constant folding
 // ---------------------------------------------------------------------
 
@@ -462,6 +1217,10 @@ fn fold_stmt(stmt: &Stmt) -> Stmt {
         StmtKind::Import(name) => StmtKind::Import(name.clone()),
         StmtKind::Assign { name, value } => StmtKind::Assign {
             name: name.clone(),
+            value: fold_expr(value),
+        },
+        StmtKind::Store { target, value } => StmtKind::Store {
+            target: target.clone(),
             value: fold_expr(value),
         },
         StmtKind::Param(params) => StmtKind::Param(
@@ -492,6 +1251,7 @@ fn fold_stmt(stmt: &Stmt) -> Stmt {
             name: fd.name.clone(),
             params: fold_params(&fd.params),
             body: fold_block(&fd.body),
+            param_slots: fd.param_slots.clone(),
         })),
         StmtKind::SpecifierDef(sd) => StmtKind::SpecifierDef(Arc::new(SpecifierDef {
             name: sd.name.clone(),
@@ -500,6 +1260,7 @@ fn fold_stmt(stmt: &Stmt) -> Stmt {
             optional: sd.optional.clone(),
             requires: sd.requires.clone(),
             body: fold_block(&sd.body),
+            param_slots: sd.param_slots.clone(),
         })),
         StmtKind::Return(e) => StmtKind::Return(e.as_ref().map(fold_expr)),
         StmtKind::If {
@@ -545,9 +1306,12 @@ fn fold_expr(expr: &Expr) -> Expr {
     let bf = |e: &Expr| Box::new(fold_expr(e));
     let of = |e: &Option<Box<Expr>>| e.as_ref().map(|e| Box::new(fold_expr(e)));
     match expr {
-        Expr::Number(_) | Expr::Bool(_) | Expr::Str(_) | Expr::None | Expr::Ident(_) => {
-            expr.clone()
-        }
+        Expr::Number(_)
+        | Expr::Bool(_)
+        | Expr::Str(_)
+        | Expr::None
+        | Expr::Ident(_)
+        | Expr::Resolved(_) => expr.clone(),
         Expr::Vector(x, y) => Expr::Vector(bf(x), bf(y)),
         // Evaluating an interval draws: fold the bounds, keep the node.
         Expr::Interval(lo, hi) => Expr::Interval(bf(lo), bf(hi)),
@@ -648,9 +1412,14 @@ fn fold_expr(expr: &Expr) -> Expr {
             which: *which,
             obj: bf(obj),
         },
-        Expr::Ctor { class, specifiers } => Expr::Ctor {
+        Expr::Ctor {
+            class,
+            specifiers,
+            site,
+        } => Expr::Ctor {
             class: class.clone(),
             specifiers: specifiers.iter().map(fold_specifier).collect(),
+            site: *site,
         },
     }
 }
@@ -850,7 +1619,9 @@ fn referenced_idents(stmts: &[Stmt], out: &mut HashSet<String>) {
     for stmt in stmts {
         match &stmt.kind {
             StmtKind::Import(_) | StmtKind::Pass => {}
-            StmtKind::Assign { value, .. } => collect_expr_idents(value, out),
+            StmtKind::Assign { value, .. } | StmtKind::Store { value, .. } => {
+                collect_expr_idents(value, out)
+            }
             StmtKind::Param(params) => {
                 for (_, e) in params {
                     collect_expr_idents(e, out);
@@ -933,8 +1704,8 @@ pub(crate) fn collect_expr_idents(expr: &Expr, out: &mut HashSet<String>) {
     let mut go = |e: &Expr| collect_expr_idents(e, out);
     match expr {
         Expr::Number(_) | Expr::Bool(_) | Expr::Str(_) | Expr::None => {}
-        Expr::Ident(name) => {
-            out.insert(name.clone());
+        Expr::Ident(_) | Expr::Resolved(_) => {
+            out.extend(expr.ident().map(String::from));
         }
         Expr::Vector(a, b)
         | Expr::Interval(a, b)
@@ -1021,7 +1792,9 @@ pub(crate) fn collect_expr_idents(expr: &Expr, out: &mut HashSet<String>) {
             collect_expr_idents(distance, out);
         }
         Expr::BoxPointOf { obj, .. } => collect_expr_idents(obj, out),
-        Expr::Ctor { class, specifiers } => {
+        Expr::Ctor {
+            class, specifiers, ..
+        } => {
             out.insert(class.clone());
             for spec in specifiers {
                 collect_spec_idents(spec, out);
@@ -1183,7 +1956,7 @@ mod tests {
         let scope = Rc::downgrade(&candidate);
         let mut rng = StdRng::seed_from_u64(0);
         Interpreter::with_base(
-            &compiled.folded,
+            &compiled.resolved.as_ref().unwrap().scenario,
             &mut rng,
             candidate,
             base.imported.clone(),
@@ -1200,8 +1973,8 @@ mod tests {
     fn runtime_syntax_stages_each_construction_site_once() {
         // Library-class constructions inside a `def` body, a user class
         // default and a `require` deferred to termination (its condition
-        // draws). Each candidate runs all three again; none may copy its
-        // site, or the stage cache would take a new key per candidate.
+        // draws). Each candidate runs all three again, each under its
+        // site id.
         let scenario = crate::compile(
             "class Crate(Object):\n    anchor: Point at 1 @ 1\n\
              def f():\n    return Object at 0 @ (2, 3)\n\
@@ -1217,9 +1990,40 @@ mod tests {
             compiled
                 .generate(&mut rng, None, scenario.early_plan())
                 .unwrap();
-            staged.push(base.cache.ctors.borrow().len());
+            staged.push(base.cache.sites.borrow().iter().flatten().count());
         }
         assert_eq!(staged, vec![3; 20]);
+    }
+
+    /// The names of `source` that lowering leaves to lookup by name.
+    fn unresolved(source: &str) -> Vec<String> {
+        crate::compile(source)
+            .unwrap()
+            .compiled()
+            .unresolved_names()
+            .expect("hoists")
+    }
+
+    #[test]
+    fn resolution_falls_back_per_name() {
+        // Top-level names, parameters and base names resolve.
+        assert!(unresolved("x = 2\nego = Object at x @ abs(-1)\n").is_empty());
+        // An `assign` in a body to a top-level name writes whichever scope
+        // holds it when it runs: `x` stays by name, `y` does not.
+        let bump = "x = 1\ny = 2\ndef bump(k):\n    x = x + k\n    return y\nbump(y)\n\
+                    ego = Object at x @ 0\n";
+        assert_eq!(unresolved(bump), ["bump", "x"]);
+        // A `def` shadowing a base native.
+        assert_eq!(
+            unresolved("a = abs(-3)\ndef abs(v):\n    return v\n"),
+            ["abs"]
+        );
+        // A local read before its assignment, with no outer binding,
+        // resolves: its empty slot raises the same E003.
+        assert_eq!(
+            unresolved("def f():\n    a = b\n    b = 1\n    return a\n"),
+            ["f"]
+        );
     }
 
     #[test]

@@ -238,7 +238,7 @@ pub(crate) fn visibility_guard(
         else {
             return None;
         };
-        if !matches!(&**owner, Expr::Ident(s) if s == "self") {
+        if owner.ident() != Some("self") {
             return None;
         }
         let Some(Expr::Call { func, args, kwargs }) = default_of(p) else {
@@ -296,7 +296,7 @@ fn decided_before(shape: &ActionShape) -> bool {
 /// `env`, when it resolves without evaluating anything.
 fn resolve_name(expr: &Expr, env: &EnvRef) -> Option<Value> {
     match expr {
-        Expr::Ident(name) => lookup(env, name),
+        Expr::Ident(_) | Expr::Resolved(_) => lookup(env, expr.ident()?),
         Expr::Attribute { obj, name } => match resolve_name(obj, env)?.unwrap_sample() {
             Value::Dict(d) => dict_get(d, name),
             _ => None,

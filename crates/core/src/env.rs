@@ -20,6 +20,10 @@ pub struct Scope {
     /// in `vars`: every write of `self` to it lands here.
     this: Option<Value>,
     parent: Option<EnvRef>,
+    /// The frame of a function or specifier call under the compiled
+    /// engine: the values of the names lowering resolved to this frame,
+    /// by slot, `None` while unbound (see [`slot`]).
+    slots: Vec<Option<Value>>,
 }
 
 impl Scope {
@@ -47,6 +51,7 @@ impl Scope {
             vars: HashMap::new(),
             this,
             parent: Some(Rc::clone(parent)),
+            slots: Vec::new(),
         }))
     }
 
@@ -66,6 +71,30 @@ pub fn lookup(env: &EnvRef, name: &str) -> Option<Value> {
         return Some(v.clone());
     }
     scope.parent.as_ref().and_then(|p| lookup(p, name))
+}
+
+/// The value in slot `slot` of the frame `hops` scopes out from `env`,
+/// if it is bound. Only the compiled engine's resolved names read slots;
+/// [`lookup`] never sees them.
+pub(crate) fn slot(env: &EnvRef, hops: u32, slot: u32) -> Option<Value> {
+    let scope = env.borrow();
+    match hops.checked_sub(1) {
+        None => scope.slots.get(slot as usize).cloned().flatten(),
+        Some(hops) => scope
+            .parent
+            .as_ref()
+            .and_then(|p| self::slot(p, hops, slot)),
+    }
+}
+
+/// Binds slot `slot` of `env`'s own frame.
+pub(crate) fn set_slot(env: &EnvRef, slot: u32, value: Value) {
+    let slots = &mut env.borrow_mut().slots;
+    let i = slot as usize;
+    if slots.len() <= i {
+        slots.resize(i + 1, None);
+    }
+    slots[i] = Some(value);
 }
 
 /// Defines or overwrites a name in the *current* scope.
@@ -101,11 +130,15 @@ pub(crate) fn own_vars(env: &EnvRef) -> Vec<(String, Value)> {
 /// breaks the `Rc` cycle that would otherwise leak the scope and every
 /// object it reaches.
 pub(crate) fn clear(env: &EnvRef) {
-    let (vars, this) = {
+    let (vars, this, slots) = {
         let mut scope = env.borrow_mut();
-        (std::mem::take(&mut scope.vars), scope.this.take())
+        (
+            std::mem::take(&mut scope.vars),
+            scope.this.take(),
+            std::mem::take(&mut scope.slots),
+        )
     };
-    drop((vars, this));
+    drop((vars, this, slots));
 }
 
 /// Assigns to an existing name in the nearest enclosing scope that has

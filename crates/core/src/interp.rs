@@ -12,7 +12,7 @@
 use crate::builtins;
 use crate::class::{self_dependencies, RuntimeClass, PRELUDE};
 use crate::early::{EarlyPlan, VisibilityGuard};
-use crate::env::{assign, clear, define, lookup, EnvRef, Scope};
+use crate::env::{assign, clear, define, lookup, set_slot, slot, EnvRef, Scope};
 use crate::error::{Rejection, RunResult, ScenicError};
 use crate::object::{oriented_point, Layout, ObjData, ObjRef, PropName};
 use crate::prune::{self, PruneParams, PrunePlan};
@@ -24,7 +24,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use scenic_geom::visibility::Viewer;
 use scenic_geom::{Heading, OrientedBox, Region, Vec2, VectorField};
-use scenic_lang::ast::{BinOp, BoxPoint, CmpOp, Expr, Program, Side, Specifier, Stmt, StmtKind};
+use scenic_lang::ast::{
+    Addr, BinOp, BoxPoint, CmpOp, CtorSite, Expr, Program, Side, Specifier, Stmt, StmtKind,
+};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::rc::Rc;
@@ -304,8 +306,7 @@ enum Flow {
 }
 
 /// How to produce a specifier's property values at evaluation time.
-/// Borrows from the construction site's specifiers (`'a`), so no
-/// candidate copies a site's syntax.
+/// Borrows from the construction site's specifiers (`'a`).
 enum Action<'a> {
     /// Values already computed (argument expressions have no
     /// dependencies on the object under construction).
@@ -450,11 +451,18 @@ pub struct Interpreter<'s, 'r> {
     imported: Rc<HashSet<String>>,
     next_id: usize,
     current_self: Option<ObjRef>,
+    /// The object whose class default is evaluating: what a resolved
+    /// `self` in a default ([`Addr::DefaultSelf`]) reads.
+    default_self: Option<ObjRef>,
     depth: usize,
-    /// Per-thread construction caches of the compiled engine (class
-    /// default staging, specifier-resolution memo); `None` under the
-    /// reference AST engine.
+    /// Per-thread state of the compiled engine's hoisted path (base
+    /// slots, staged construction sites); `None` under the reference
+    /// AST engine and the fallback path.
     exec_cache: Option<Rc<crate::compile::ExecCache>>,
+    /// The candidate's frame: the values of the user program's top-level
+    /// names resolved to slots ([`Addr::Candidate`]), `None` while
+    /// unbound.
+    frame: Vec<Option<Value>>,
     /// Set once a physical object exists that termination will mutate:
     /// from then on nothing is decided early, since mutation moves
     /// objects before the deferred checks run.
@@ -485,8 +493,10 @@ impl<'s, 'r> Interpreter<'s, 'r> {
             imported: Rc::default(),
             next_id: 0,
             current_self: None,
+            default_self: None,
             depth: 0,
             exec_cache: None,
+            frame: Vec::new(),
             mutation_pending: false,
             footprints: Vec::new(),
             ego_view: None,
@@ -519,7 +529,9 @@ impl<'s, 'r> Interpreter<'s, 'r> {
             imported,
             next_id: 0,
             current_self: None,
+            default_self: None,
             depth: 0,
+            frame: vec![None; exec_cache.frame_len],
             exec_cache: Some(exec_cache),
             mutation_pending: false,
             footprints: Vec::new(),
@@ -655,15 +667,21 @@ impl<'s, 'r> Interpreter<'s, 'r> {
             }
             StmtKind::Assign { name, value } => {
                 let v = self.eval(value, env).map_err(|e| e.with_line(line))?;
-                if name == "ego" {
-                    let obj = v.as_object().map_err(|e| e.with_line(line))?;
-                    if self.early.objects && !self.mutation_pending {
-                        let viewer = obj.borrow().viewer().ok();
-                        self.ego_view = viewer.map(|v| (v, self.objects.len()));
-                    }
-                    self.ego = Some(obj);
-                }
+                self.note_ego(name, &v, line)?;
                 assign(env, name, v);
+            }
+            StmtKind::Store { target, value } => {
+                let v = self.eval(value, env).map_err(|e| e.with_line(line))?;
+                self.note_ego(&target.name, &v, line)?;
+                // A name a frame binds is in that frame's slots, or it
+                // stays by name: a store never walks out of its frame.
+                match target.addr {
+                    Addr::Candidate(i) => self.frame[i as usize] = Some(v),
+                    Addr::Local { hops: 0, slot } => set_slot(env, slot, v),
+                    Addr::Local { .. } | Addr::Base(_) | Addr::DefaultSelf => {
+                        unreachable!("lowering stores only to the current frame")
+                    }
+                }
             }
             StmtKind::Param(params) => {
                 for (name, expr) in params {
@@ -699,7 +717,7 @@ impl<'s, 'r> Interpreter<'s, 'r> {
                             )
                             .with_line(line));
                         }
-                        let p = p.as_number()?;
+                        let p = p.as_number().map_err(|e| e.with_line(line))?;
                         if !(0.0..=1.0).contains(&p) {
                             return Err(ScenicError::runtime(format!(
                                 "soft-requirement probability must be in [0, 1], got {p}"
@@ -720,7 +738,10 @@ impl<'s, 'r> Interpreter<'s, 'r> {
             }
             StmtKind::Mutate { targets, scale } => {
                 let scale = match scale {
-                    Some(e) => self.eval(e, env)?.as_number()?,
+                    Some(e) => self
+                        .eval(e, env)
+                        .and_then(|v| v.as_number())
+                        .map_err(|e| e.with_line(line))?,
                     None => 1.0,
                 };
                 if targets.is_empty() {
@@ -822,6 +843,19 @@ impl<'s, 'r> Interpreter<'s, 'r> {
         Ok(Flow::Normal)
     }
 
+    /// Takes the ego's viewer when an assignment binds `ego`.
+    fn note_ego(&mut self, name: &str, v: &Value, line: u32) -> RunResult<()> {
+        if name == "ego" {
+            let obj = v.as_object().map_err(|e| e.with_line(line))?;
+            if self.early.objects && !self.mutation_pending {
+                let viewer = obj.borrow().viewer().ok();
+                self.ego_view = viewer.map(|v| (v, self.objects.len()));
+            }
+            self.ego = Some(obj);
+        }
+        Ok(())
+    }
+
     fn import_module(&mut self, name: &str, line: u32) -> RunResult<()> {
         if self.imported.contains(name) {
             return Ok(());
@@ -846,7 +880,17 @@ impl<'s, 'r> Interpreter<'s, 'r> {
     }
 
     fn lookup_class(&self, name: &str, env: &EnvRef, line: u32) -> RunResult<Rc<RuntimeClass>> {
-        match lookup(env, name) {
+        self.class_value(name, lookup(env, name), line)
+    }
+
+    /// The class `found` holds, the value `name` named.
+    fn class_value(
+        &self,
+        name: &str,
+        found: Option<Value>,
+        line: u32,
+    ) -> RunResult<Rc<RuntimeClass>> {
+        match found {
             Some(Value::Class(c)) => Ok(c),
             Some(other) => Err(ScenicError::type_error(format!(
                 "`{name}` is {} , not a class",
@@ -871,6 +915,13 @@ impl<'s, 'r> Interpreter<'s, 'r> {
             Expr::Str(s) => Ok(Value::str(s)),
             Expr::None => Ok(Value::None),
             Expr::Ident(name) => self.eval_ident(name, env),
+            Expr::Resolved(r) => {
+                self.read(&r.name, r.addr, env)
+                    .ok_or_else(|| ScenicError::Undefined {
+                        name: r.name.clone(),
+                        line: 0,
+                    })
+            }
             Expr::Vector(x, y) => {
                 let x = self.eval(x, env)?.as_number()?;
                 let y = self.eval(y, env)?.as_number()?;
@@ -1075,7 +1126,11 @@ impl<'s, 'r> Interpreter<'s, 'r> {
                     heading,
                 )))
             }
-            Expr::Ctor { class, specifiers } => self.construct(class, specifiers, env, 0),
+            Expr::Ctor {
+                class,
+                specifiers,
+                site,
+            } => self.construct(class, specifiers, site.as_ref(), env, 0),
         }
     }
 
@@ -1090,6 +1145,21 @@ impl<'s, 'r> Interpreter<'s, 'r> {
             name: name.to_string(),
             line: 0,
         })
+    }
+
+    /// The value at a resolved name's address, if bound. While the base
+    /// itself is built there are no base slots yet: a base name is then
+    /// looked up by `name`.
+    fn read(&self, name: &str, addr: Addr, env: &EnvRef) -> Option<Value> {
+        match addr {
+            Addr::Base(i) => match &self.exec_cache {
+                Some(cache) => Some(cache.base_slots[i as usize].clone()),
+                None => lookup(env, name),
+            },
+            Addr::Candidate(i) => self.frame[i as usize].clone(),
+            Addr::Local { hops, slot: i } => slot(env, hops, i),
+            Addr::DefaultSelf => self.default_self.clone().map(Value::Object),
+        }
     }
 
     fn ego(&self) -> RunResult<ObjRef> {
@@ -1230,38 +1300,15 @@ impl<'s, 'r> Interpreter<'s, 'r> {
             return Err(ScenicError::runtime("maximum recursion depth exceeded"));
         }
         let local = Scope::child(&f.closure);
-        let params = &f.def.params;
-        if args.len() > params.len() {
-            return Err(ScenicError::runtime(format!(
-                "{}() takes at most {} arguments, got {}",
-                f.def.name,
-                params.len(),
-                args.len()
-            )));
-        }
-        for (i, (name, default)) in params.iter().enumerate() {
-            let value = if i < args.len() {
-                args[i].clone()
-            } else if let Some((_, v)) = kwargs.iter().find(|(k, _)| k == name) {
-                v.clone()
-            } else if let Some(d) = default {
-                self.eval(d, &f.closure)?
-            } else {
-                return Err(ScenicError::runtime(format!(
-                    "{}() missing argument `{name}`",
-                    f.def.name
-                )));
-            };
-            define(&local, name, value);
-        }
-        for (k, _) in &kwargs {
-            if !params.iter().any(|(p, _)| p == k) {
-                return Err(ScenicError::runtime(format!(
-                    "{}() got unexpected keyword `{k}`",
-                    f.def.name
-                )));
-            }
-        }
+        self.bind_params(
+            ("", &f.def.name),
+            &f.def.params,
+            &f.def.param_slots,
+            &args,
+            &kwargs,
+            &f.closure,
+            &local,
+        )?;
         self.depth += 1;
         let result = self.exec_block(&f.def.body, &local);
         self.depth -= 1;
@@ -1269,6 +1316,64 @@ impl<'s, 'r> Interpreter<'s, 'r> {
             Flow::Return(v) => Ok(v),
             Flow::Normal => Ok(Value::None),
         }
+    }
+
+    /// Binds a call's arguments to the parameters of the callee (`kind`
+    /// and name, for messages) in its frame `local`: by position, then by
+    /// keyword, then by default (which evaluates in the callee's
+    /// `closure`). A parameter lowering resolved goes to its slot
+    /// ([`FuncDef::param_slots`]), any other by name.
+    ///
+    /// [`FuncDef::param_slots`]: scenic_lang::FuncDef::param_slots
+    #[allow(clippy::too_many_arguments)]
+    fn bind_params(
+        &mut self,
+        (kind, callee): (&str, &str),
+        params: &[(String, Option<Expr>)],
+        slots: &[Option<u32>],
+        args: &[Value],
+        kwargs: &[(String, Value)],
+        closure: &EnvRef,
+        local: &EnvRef,
+    ) -> RunResult<()> {
+        if args.len() > params.len() {
+            return Err(ScenicError::runtime(format!(
+                "{kind}{callee}() takes at most {} arguments, got {}",
+                params.len(),
+                args.len()
+            )));
+        }
+        for (i, (name, default)) in params.iter().enumerate() {
+            let keyword = kwargs.iter().find(|(k, _)| k == name);
+            let value = match (args.get(i), keyword) {
+                (Some(_), Some(_)) => {
+                    return Err(ScenicError::runtime(format!(
+                        "{kind}{callee}() got multiple values for argument `{name}`"
+                    )))
+                }
+                (Some(v), None) | (None, Some((_, v))) => v.clone(),
+                (None, None) => match default {
+                    Some(d) => self.eval(d, closure)?,
+                    None => {
+                        return Err(ScenicError::runtime(format!(
+                            "{kind}{callee}() missing argument `{name}`"
+                        )))
+                    }
+                },
+            };
+            match slots.get(i).copied().flatten() {
+                Some(slot) => set_slot(local, slot, value),
+                None => define(local, name, value),
+            }
+        }
+        for (k, _) in kwargs {
+            if !params.iter().any(|(p, _)| p == k) {
+                return Err(ScenicError::runtime(format!(
+                    "{kind}{callee}() got unexpected keyword `{k}`"
+                )));
+            }
+        }
+        Ok(())
     }
 
     fn eval_attribute(&mut self, obj: &Expr, name: &str, env: &EnvRef) -> RunResult<Value> {
@@ -1302,13 +1407,15 @@ impl<'s, 'r> Interpreter<'s, 'r> {
         let key = self.eval(key, env)?;
         match receiver.unwrap_sample() {
             Value::List(items) => {
-                let mut i = key.as_number()? as i64;
-                if i < 0 {
-                    i += items.len() as i64;
+                let n = key.as_number()?;
+                if n.fract() != 0.0 {
+                    return Err(ScenicError::runtime("list index must be an integer"));
                 }
-                items
-                    .get(i.max(0) as usize)
-                    .cloned()
+                // Python's rule: a negative index counts from the end.
+                let i = if n < 0.0 { n + items.len() as f64 } else { n };
+                (0.0..items.len() as f64)
+                    .contains(&i)
+                    .then(|| items[i as usize].clone())
                     .ok_or_else(|| ScenicError::runtime("list index out of range"))
             }
             Value::Dict(d) => {
@@ -1396,10 +1503,14 @@ impl<'s, 'r> Interpreter<'s, 'r> {
         &mut self,
         class_name: &str,
         specifiers: &[Specifier],
+        site: Option<&CtorSite>,
         env: &EnvRef,
         line: u32,
     ) -> RunResult<Value> {
-        let class = self.lookup_class(class_name, env, line)?;
+        let class = match site.and_then(|s| s.class) {
+            Some(addr) => self.class_value(class_name, self.read(class_name, addr, env), line)?,
+            None => self.lookup_class(class_name, env, line)?,
+        };
 
         // Argument evaluation must not see an enclosing object under
         // construction (only class *defaults* may reference `self`).
@@ -1408,15 +1519,12 @@ impl<'s, 'r> Interpreter<'s, 'r> {
         self.current_self = saved_self;
         let actions = prepared?;
 
-        // Class default-value specifiers (staged once per class by the
-        // compiled engine; rebuilt per construction under the AST
-        // engine). They follow the explicit specifiers in the stage's
-        // rows: row `actions.len() + k` is `defaults[k]`.
-        let defaults = self.class_defaults(&class);
-
-        // Specifier metadata + Algorithm 1 resolution, staged per site
-        // under the compiled engine.
-        let stage = self.ctor_stage(specifiers, &class, &actions, &defaults)?;
+        // Specifier metadata, the class's default-value specifiers and
+        // Algorithm 1 resolution, staged per site under the compiled
+        // engine. The defaults follow the explicit specifiers in the
+        // stage's rows: row `actions.len() + k` is `defaults[k]`.
+        let stage = self.ctor_stage(site.map(|s| s.id), specifiers, &class, &actions)?;
+        let defaults = &stage.defaults;
 
         let obj: ObjRef = Rc::new(RefCell::new(ObjData::new(
             class.lineage(),
@@ -1425,9 +1533,11 @@ impl<'s, 'r> Interpreter<'s, 'r> {
         )));
 
         let saved_self = self.current_self.replace(Rc::clone(&obj));
-        // Every default evaluates in the class's scope with `self` bound.
-        // Expressions never define names, so one such scope serves all
-        // of this object's defaults.
+        // Every default evaluates in the class's scope with `self` bound:
+        // under the compiled engine, `self` in a default is resolved to
+        // `default_self`; under the AST engine it is bound in a child
+        // scope. Expressions never define names, so one such scope serves
+        // all of this object's defaults.
         let mut default_scope = None;
         let mut slots = stage.slots.iter().copied();
         let result = (|| -> RunResult<()> {
@@ -1455,10 +1565,17 @@ impl<'s, 'r> Interpreter<'s, 'r> {
                     // A class default: its one value goes straight into
                     // the object.
                     Some(default) => {
-                        let scope = default_scope.get_or_insert_with(|| {
-                            Scope::child_with_self(&class.env, Value::Object(Rc::clone(&obj)))
-                        });
-                        let value = self.eval(&default.expr, scope)?;
+                        let value = if self.exec_cache.is_some() {
+                            let outer = self.default_self.replace(Rc::clone(&obj));
+                            let value = self.eval(&default.expr, &class.env);
+                            self.default_self = outer;
+                            value?
+                        } else {
+                            let scope = default_scope.get_or_insert_with(|| {
+                                Scope::child_with_self(&class.env, Value::Object(Rc::clone(&obj)))
+                            });
+                            self.eval(&default.expr, scope)?
+                        };
                         for (prop, slot) in props.iter().zip(&mut slots) {
                             if *prop != default.prop {
                                 return Err(not_produced(prop));
@@ -1550,69 +1667,40 @@ impl<'s, 'r> Interpreter<'s, 'r> {
             && actions.iter().all(Action::is_finite)
     }
 
-    /// The staged default-value specifiers of `class`.
+    /// The staged metadata, class defaults and Algorithm 1 resolution for
+    /// one construction site.
     ///
-    /// Under the compiled engine, classes living in the shared base
-    /// environment (prelude and library classes — the ones every
-    /// candidate constructs from) are staged once per thread: the walk
-    /// up the superclass chain and the `self`-dependency analysis
-    /// happen on the first construction only. Classes defined by the
-    /// user program live in per-candidate scopes, so their `Rc` identity
-    /// is fresh each run and caching them would never hit — they take
-    /// the direct path.
-    fn class_defaults(
-        &mut self,
-        class: &Rc<RuntimeClass>,
-    ) -> Rc<Vec<crate::compile::CachedDefault>> {
-        if let Some(cache) = &self.exec_cache {
-            if Rc::ptr_eq(&class.env, &cache.base_env) {
-                let key = Rc::as_ptr(class) as usize;
-                if let Some(hit) = cache.defaults.borrow().get(&key) {
-                    return Rc::clone(hit);
-                }
-                let built = Rc::new(stage_class_defaults(class));
-                cache.defaults.borrow_mut().insert(key, Rc::clone(&built));
-                return built;
-            }
-        }
-        Rc::new(stage_class_defaults(class))
-    }
-
-    /// The staged metadata and Algorithm 1 resolution for one
-    /// construction site.
-    ///
-    /// Under the compiled engine, sites constructing a class that lives
-    /// in the shared base environment are staged once per thread —
-    /// every later candidate revalidates by shape (cheap pointer + tag
-    /// comparisons) instead of rebuilding ~15 metadata rows and
-    /// re-running resolution. The AST engine, and per-candidate user
-    /// classes (whose `Rc` identity is fresh each run), rebuild the
-    /// stage on every construction.
+    /// Under the compiled engine, a site (numbered by lowering) that
+    /// constructs a class living in the shared base environment is staged
+    /// once per thread — every later candidate revalidates by class and
+    /// shape (pointer and tag comparisons) instead of walking the
+    /// superclass chain, rebuilding ~15 metadata rows and re-running
+    /// resolution. The AST engine, and per-candidate user classes (whose
+    /// `Rc` identity is fresh each run), rebuild the stage on every
+    /// construction.
     fn ctor_stage(
         &self,
+        site: Option<u32>,
         specifiers: &[Specifier],
         class: &Rc<RuntimeClass>,
         actions: &[Action],
-        defaults: &[crate::compile::CachedDefault],
     ) -> RunResult<Rc<crate::compile::CtorStage>> {
-        if let Some(cache) = self
+        let cache = self
             .exec_cache
             .as_ref()
-            .filter(|c| Rc::ptr_eq(&class.env, &c.base_env))
-        {
-            let key = (specifiers.as_ptr() as usize, Rc::as_ptr(class) as usize);
-            if let Some(hit) = cache.ctors.borrow().get(&key) {
-                if stage_matches(hit, actions) {
-                    return Ok(Rc::clone(hit));
-                }
+            .filter(|c| Rc::ptr_eq(&class.env, &c.base_env));
+        let (Some(cache), Some(site)) = (cache, site) else {
+            return Ok(Rc::new(build_stage(class, specifiers, actions, false)?));
+        };
+        let site = site as usize;
+        if let Some(hit) = &cache.sites.borrow()[site] {
+            if hit.class == Rc::as_ptr(class) as usize && stage_matches(hit, actions) {
+                return Ok(Rc::clone(hit));
             }
-            let stage = Rc::new(build_stage(class, specifiers, actions, defaults, true)?);
-            cache.ctors.borrow_mut().insert(key, Rc::clone(&stage));
-            return Ok(stage);
         }
-        Ok(Rc::new(build_stage(
-            class, specifiers, actions, defaults, false,
-        )?))
+        let stage = Rc::new(build_stage(class, specifiers, actions, true)?);
+        cache.sites.borrow_mut()[site] = Some(Rc::clone(&stage));
+        Ok(stage)
     }
 
     /// Evaluates explicit specifier arguments, classifying each into an
@@ -1908,38 +1996,16 @@ impl<'s, 'r> Interpreter<'s, 'r> {
         if self.depth >= MAX_CALL_DEPTH {
             return Err(ScenicError::runtime("maximum recursion depth exceeded"));
         }
-        if args.len() > def.params.len() {
-            return Err(ScenicError::runtime(format!(
-                "specifier {}() takes at most {} arguments, got {}",
-                def.name,
-                def.params.len(),
-                args.len()
-            )));
-        }
         let local = Scope::child_with_self(&spec.closure, Value::Object(Rc::clone(obj)));
-        for (i, (pname, default)) in def.params.iter().enumerate() {
-            let value = if i < args.len() {
-                args[i].clone()
-            } else if let Some((_, v)) = kwargs.iter().find(|(k, _)| k == pname) {
-                v.clone()
-            } else if let Some(d) = default {
-                self.eval(d, &spec.closure)?
-            } else {
-                return Err(ScenicError::runtime(format!(
-                    "specifier {}() missing argument `{pname}`",
-                    def.name
-                )));
-            };
-            define(&local, pname, value);
-        }
-        for (k, _) in kwargs {
-            if !def.params.iter().any(|(p, _)| p == k) {
-                return Err(ScenicError::runtime(format!(
-                    "specifier {}() got unexpected keyword `{k}`",
-                    def.name
-                )));
-            }
-        }
+        self.bind_params(
+            ("specifier ", &def.name),
+            &def.params,
+            &def.param_slots,
+            args,
+            kwargs,
+            &spec.closure,
+            &local,
+        )?;
         self.depth += 1;
         let result = self.exec_block(&def.body, &local);
         self.depth -= 1;
@@ -2222,12 +2288,12 @@ fn stage_matches(stage: &crate::compile::CtorStage, actions: &[Action]) -> bool 
 /// the properties the resolution assigns, and — for a `guarded` stage,
 /// one the compiled engine caches — its visibility guard.
 fn build_stage(
-    class: &RuntimeClass,
+    class: &Rc<RuntimeClass>,
     specifiers: &[Specifier],
     actions: &[Action],
-    defaults: &[crate::compile::CachedDefault],
     guarded: bool,
 ) -> RunResult<crate::compile::CtorStage> {
+    let defaults = stage_class_defaults(class);
     let mut metas: Vec<SpecMeta> = specifiers
         .iter()
         .zip(actions)
@@ -2237,7 +2303,7 @@ fn build_stage(
     let order = resolve(&class.name, &metas)?;
     let shapes: Vec<ActionShape> = actions.iter().map(Action::shape).collect();
     let guard = guarded
-        .then(|| crate::early::visibility_guard(class, &shapes, &order, defaults))
+        .then(|| crate::early::visibility_guard(class, &shapes, &order, &defaults))
         .flatten();
     let assigned = || order.order.iter().flat_map(|(_, props)| props);
     let layout = Layout::new(assigned().cloned());
@@ -2249,7 +2315,9 @@ fn build_stage(
         })
         .collect();
     Ok(crate::compile::CtorStage {
+        class: Rc::as_ptr(class) as usize,
         shapes,
+        defaults,
         metas,
         order,
         layout: Rc::new(layout),
@@ -2337,9 +2405,8 @@ mod tests {
 
     #[test]
     fn running_a_def_twice_shares_one_definition() {
-        // The compiled engine keys staged construction sites by the
-        // address of their specifier list, so the functions and
-        // specifiers a statement creates must share its definition.
+        // Creating a function or specifier value shares the statement's
+        // definition: a candidate that runs a `def` copies no syntax.
         let scenario = crate::compile(
             "def f():\n    return Object at 0 @ 0\n\
              specifier wide() specifies width:\n    return {\"width\": 3}\n",

@@ -622,7 +622,9 @@ fn scan_stmts(stmts: &[Stmt], hints: &mut PruneHints, classes: &ClassTable) {
     for stmt in stmts {
         match &stmt.kind {
             StmtKind::Import(_) | StmtKind::Pass => {}
-            StmtKind::Assign { value, .. } => scan_expr(value, hints, classes, false),
+            StmtKind::Assign { value, .. } | StmtKind::Store { value, .. } => {
+                scan_expr(value, hints, classes, false)
+            }
             StmtKind::Param(params) => {
                 for (_, e) in params {
                     scan_expr(e, hints, classes, false);
@@ -693,7 +695,7 @@ fn scan_expr(
 ) {
     use Expr::*;
     match expr {
-        Number(_) | Bool(_) | Str(_) | None | Ident(_) => {}
+        Number(_) | Bool(_) | Str(_) | None | Ident(_) | Resolved(_) => {}
         Vector(a, b)
         | Interval(a, b)
         | RelativeTo(a, b)
@@ -780,7 +782,9 @@ fn scan_expr(
             scan_expr(distance, hints, classes, false);
         }
         BoxPointOf { obj, .. } => scan_expr(obj, hints, classes, false),
-        Ctor { class, specifiers } => {
+        Ctor {
+            class, specifiers, ..
+        } => {
             hints.object_count += 1;
             for spec in specifiers {
                 if matches!(spec, Specifier::InRegion(_))

@@ -152,9 +152,8 @@ pub struct SampleValue {
 
 /// A user-defined function (closure over its defining environment).
 pub struct UserFunc {
-    /// The parsed definition, shared with the `def` statement (so every
-    /// construction site in the body has one address for as long as the
-    /// program lives).
+    /// The parsed definition, shared with the `def` statement: creating
+    /// the function copies no syntax.
     pub def: std::sync::Arc<scenic_lang::FuncDef>,
     /// Captured environment.
     pub closure: crate::env::EnvRef,

@@ -54,6 +54,14 @@ pub enum StmtKind {
         /// Right-hand side.
         value: Expr,
     },
+    /// `identifier = value` whose target the compiled engine's lowering
+    /// resolved to a slot (never produced by the parser).
+    Store {
+        /// Assignment target and its slot.
+        target: Resolved,
+        /// Right-hand side.
+        value: Expr,
+    },
     /// `param identifier = value, ...`
     Param(Vec<(String, Expr)>),
     /// `class Name[(Superclass)]: property: default ...`
@@ -153,6 +161,8 @@ pub struct SpecifierDef {
     pub requires: Vec<String>,
     /// Body statements (must `return` a dict of property values).
     pub body: Vec<Stmt>,
+    /// The frame slot of each parameter (see [`FuncDef::param_slots`]).
+    pub param_slots: Vec<Option<u32>>,
 }
 
 /// A function definition.
@@ -164,6 +174,11 @@ pub struct FuncDef {
     pub params: Vec<(String, Option<Expr>)>,
     /// Body statements.
     pub body: Vec<Stmt>,
+    /// The slot of each parameter in the call's frame, by position, where
+    /// the compiled engine's lowering resolved it (`None` binds that
+    /// parameter by name). The parser leaves it empty: every parameter is
+    /// bound by name.
+    pub param_slots: Vec<Option<u32>>,
 }
 
 /// Binary arithmetic/logic operators.
@@ -264,6 +279,9 @@ pub enum Expr {
     None,
     /// Variable reference.
     Ident(String),
+    /// Variable reference the compiled engine's lowering resolved to an
+    /// address (never produced by the parser).
+    Resolved(Resolved),
     /// `X @ Y` vector construction.
     Vector(Box<Expr>, Box<Expr>),
     /// `(low, high)` uniform-interval distribution.
@@ -401,7 +419,64 @@ pub enum Expr {
         class: String,
         /// Specifier list (possibly empty).
         specifiers: Vec<Specifier>,
+        /// The site's id and the class's address, from the compiled
+        /// engine's lowering; `None` from the parser.
+        site: Option<CtorSite>,
     },
+}
+
+impl Expr {
+    /// The name an identifier refers to, resolved or not.
+    pub fn ident(&self) -> Option<&str> {
+        match self {
+            Expr::Ident(name) => Some(name),
+            Expr::Resolved(r) => Some(&r.name),
+            _ => None,
+        }
+    }
+}
+
+/// Where a name lives at run time, as the compiled engine's lowering
+/// proved it (lexical addressing, SICP §5.5.6). Only that lowering
+/// writes addresses, into its own copy of a program: the parser never
+/// produces one, and the reference interpreter's programs carry plain
+/// names.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Addr {
+    /// A slot of the hoisted base environment: a builtin, a library
+    /// native, or a prelude or library class or function.
+    Base(u32),
+    /// A slot of the candidate's frame: a top-level name of the user
+    /// program.
+    Candidate(u32),
+    /// A slot of the function or specifier frame `hops` frames out from
+    /// the one evaluating.
+    Local {
+        /// Frames to walk out.
+        hops: u32,
+        /// Slot in that frame.
+        slot: u32,
+    },
+    /// `self` in a class default: the object whose default evaluates.
+    DefaultSelf,
+}
+
+/// A name with its resolved address.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Resolved {
+    /// The name, for messages and printing.
+    pub name: String,
+    /// Where it lives.
+    pub addr: Addr,
+}
+
+/// A construction site as the compiled engine's lowering numbered it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CtorSite {
+    /// Dense per-scenario id, indexing the staged-site cache.
+    pub id: u32,
+    /// The class name's address, when resolved.
+    pub class: Option<Addr>,
 }
 
 /// Specifiers for object construction (Tables 3 & 4).

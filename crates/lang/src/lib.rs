@@ -22,8 +22,8 @@ pub mod printer;
 pub mod token;
 
 pub use ast::{
-    BinOp, BoxPoint, ClassDef, CmpOp, Expr, FuncDef, Program, Side, Specifier, SpecifierDef, Stmt,
-    StmtKind,
+    Addr, BinOp, BoxPoint, ClassDef, CmpOp, CtorSite, Expr, FuncDef, Program, Resolved, Side,
+    Specifier, SpecifierDef, Stmt, StmtKind,
 };
 pub use error::{ParseError, ParseResult};
 pub use lexer::lex;

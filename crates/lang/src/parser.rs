@@ -390,7 +390,12 @@ impl Parser {
         }
         self.expect(&TokenKind::Colon)?;
         let body = self.parse_block()?;
-        Ok(StmtKind::FuncDef(Arc::new(FuncDef { name, params, body })))
+        Ok(StmtKind::FuncDef(Arc::new(FuncDef {
+            name,
+            params,
+            body,
+            param_slots: Vec::new(),
+        })))
     }
 
     /// `specifier name(params) specifies p, … [optionally q, …]
@@ -439,6 +444,7 @@ impl Parser {
             optional,
             requires,
             body,
+            param_slots: Vec::new(),
         })))
     }
 
@@ -1044,6 +1050,7 @@ impl Parser {
                     Ok(Expr::Ctor {
                         class: name,
                         specifiers,
+                        site: None,
                     })
                 } else {
                     Ok(Expr::Ident(name))
@@ -1327,7 +1334,10 @@ mod tests {
     #[test]
     fn ctor_with_offset_and_vector() {
         let e = first_expr("Car offset by (-10, 10) @ (20, 40)\n");
-        let Expr::Ctor { class, specifiers } = e else {
+        let Expr::Ctor {
+            class, specifiers, ..
+        } = e
+        else {
             panic!("not a ctor");
         };
         assert_eq!(class, "Car");
@@ -1380,7 +1390,10 @@ mod tests {
     #[test]
     fn on_visible_curb() {
         let e = first_expr("spot = OrientedPoint on visible curb\n");
-        let Expr::Ctor { class, specifiers } = e else {
+        let Expr::Ctor {
+            class, specifiers, ..
+        } = e
+        else {
             panic!();
         };
         assert_eq!(class, "OrientedPoint");
@@ -1786,7 +1799,10 @@ specifier slot(gap, y=1) specifies position, color optionally heading requires w
         let StmtKind::Assign { value, .. } = &p.statements[0].kind else {
             panic!();
         };
-        let Expr::Ctor { class, specifiers } = value else {
+        let Expr::Ctor {
+            class, specifiers, ..
+        } = value
+        else {
             panic!("expected ctor, got {value:?}");
         };
         assert_eq!(class, "Car");

@@ -43,6 +43,9 @@ fn print_stmt(stmt: &Stmt, level: usize, out: &mut String) {
         StmtKind::Assign { name, value } => {
             out.push_str(&format!("{name} = {}\n", print_expr(value)));
         }
+        StmtKind::Store { target, value } => {
+            out.push_str(&format!("{} = {}\n", target.name, print_expr(value)));
+        }
         StmtKind::Param(params) => {
             let parts: Vec<String> = params
                 .iter()
@@ -171,6 +174,7 @@ pub fn print_expr(expr: &Expr) -> String {
         Expr::Str(s) => format!("'{}'", s.replace('\\', "\\\\").replace('\'', "\\'")),
         Expr::None => "None".to_string(),
         Expr::Ident(name) => name.clone(),
+        Expr::Resolved(r) => r.name.clone(),
         Expr::Vector(x, y) => format!("({} @ {})", print_expr(x), print_expr(y)),
         Expr::Interval(lo, hi) => format!("({}, {})", print_expr(lo), print_expr(hi)),
         Expr::Call { func, args, kwargs } => {
@@ -304,7 +308,9 @@ pub fn print_expr(expr: &Expr) -> String {
             };
             format!("({name} {})", print_expr(obj))
         }
-        Expr::Ctor { class, specifiers } => {
+        Expr::Ctor {
+            class, specifiers, ..
+        } => {
             if specifiers.is_empty() {
                 class.clone()
             } else {

@@ -62,6 +62,27 @@ fn check_reports_parse_errors_with_position() {
 }
 
 #[test]
+fn type_errors_in_mutate_and_soft_require_point_at_their_statement() {
+    for (name, statement) in [
+        ("bad_scale.scenic", "mutate ego by \"x\""),
+        (
+            "bad_probability.scenic",
+            "require[\"a\"] ego.position.x > 0",
+        ),
+    ] {
+        let path = write_scenario(name, &format!("ego = Object at 0 @ 0\n{statement}\n"));
+        let out = run(&["sample", path.to_str().unwrap(), "--world", "bare"]);
+        assert_eq!(out.status.code(), Some(1));
+        let err = stderr(&out);
+        assert!(
+            err.contains(&format!("{}:2:1", path.display())),
+            "{name}: wrong location: {err}"
+        );
+        assert!(err.contains(&format!(" 2 | {statement}")), "{name}: {err}");
+    }
+}
+
+#[test]
 fn check_with_bare_world_rejects_gta_classes() {
     let path = write_scenario("needs_gta.scenic", "ego = Car\n");
     let out = run(&["check", path.to_str().unwrap(), "--world", "bare"]);

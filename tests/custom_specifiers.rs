@@ -340,6 +340,28 @@ fn missing_argument_errors() {
 }
 
 #[test]
+fn an_argument_given_by_position_and_keyword_is_rejected() {
+    // Binding `d` twice used to keep the positional value silently.
+    let scenario = compile(
+        "specifier east(d) specifies position:\n\
+         \x20   return {'position': d @ 0}\n\
+         ego = Object using east(1, d=5)\n",
+    )
+    .unwrap();
+    for engine in [Engine::Ast, Engine::Compiled] {
+        let err = Sampler::new(&scenario)
+            .with_engine(engine)
+            .sample_seeded(0)
+            .unwrap_err();
+        assert!(
+            matches!(&err, ScenicError::Runtime { message, .. }
+                if message == "specifier east() got multiple values for argument `d`"),
+            "{engine}: {err}"
+        );
+    }
+}
+
+#[test]
 fn extra_argument_errors() {
     let err = run(
         "specifier atOrigin() specifies position:\n\

@@ -197,6 +197,83 @@ fn writes_outside_the_layout_digest_is_stable_on_both_engines() {
     );
 }
 
+/// One program per scoping rule of `docs/LANGUAGE.md` ("Names and
+/// scopes"), each with the batch digest both engines give it. The
+/// compiled engine resolves names to slots at lowering; each rule here is
+/// one it must either prove or leave to by-name lookup.
+const SCOPING_RULES: &[(&str, &str, &str, u64)] = &[
+    (
+        "a `def` reads a top-level name bound after the `def`, before the call",
+        "def f():\n    return x\nx = 3\nego = Object at f() @ (0, 1)\n",
+        "bare",
+        12920583059496844740,
+    ),
+    (
+        "`x = x + 1` in a function body writes the outer `x`",
+        "x = 1\ndef bump():\n    x = x + 1\nbump()\nego = Object at x @ (0, 1)\n",
+        "bare",
+        5261707033986137167,
+    ),
+    (
+        "a `def` that shadows a base native after a use of the native",
+        "a = abs(-3)\ndef abs(v):\n    return 10\nego = Object at a @ abs(1), facing (0, 1)\n",
+        "bare",
+        12608293893091561967,
+    ),
+    (
+        "a `for` variable keeps its last value after the loop",
+        "for i in [1, 2, 5]:\n    pass\nego = Object at i @ (0, 1)\n",
+        "bare",
+        5776915926845138326,
+    ),
+    (
+        "a nested `def` reads its enclosing call's parameter",
+        "def outer(k):\n    def inner(v):\n        return v + k\n    return inner(2)\n\
+         ego = Object at outer(4) @ (0, 1)\n",
+        "bare",
+        12793875071201325539,
+    ),
+    (
+        "a user class default reads the top-level name's value at construction",
+        "w = 2\nclass Crate(Object):\n    width: w\nego = Crate at 0 @ (0, 1)\n\
+         w = 3\nc = Crate at 5 @ (0, 1)\n",
+        "bare",
+        4703179210433442427,
+    ),
+    (
+        "a non-auto `import` binds the module's names in the candidate",
+        "import marsLib\nego = Rover at 0 @ -2\nRock at 0 @ (1, 2)\n",
+        "mars",
+        9933194025965028463,
+    ),
+];
+
+#[test]
+fn scoping_rules_digests_are_stable_on_both_engines() {
+    for &(rule, source, world, expected) in SCOPING_RULES {
+        assert_batch_digest_on_both_engines(source, world, expected, rule);
+    }
+}
+
+/// A function body that reads a name before its own assignment binds
+/// it, where no enclosing scope has the name: both engines raise E003.
+#[test]
+fn reading_a_local_before_its_assignment_is_undefined_on_both_engines() {
+    let source = "def f():\n    a = b\n    b = 1\n    return a\nego = Object at f() @ 0\n";
+    let scenario = compile(source).unwrap();
+    for engine in [Engine::Compiled, Engine::Ast] {
+        let err = Sampler::new(&scenario)
+            .with_engine(engine)
+            .with_seed(3)
+            .sample_batch(1, 1)
+            .unwrap_err();
+        assert!(
+            matches!(&err, ScenicError::Undefined { name, .. } if name == "b"),
+            "{engine}: {err}"
+        );
+    }
+}
+
 #[test]
 fn distinct_seeds_produce_distinct_scenes() {
     let world = World::generate(MapConfig::default());

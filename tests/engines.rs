@@ -287,6 +287,100 @@ fn bundled_scenarios_take_the_hoisted_path() {
     }
 }
 
+/// The reject-heavy scenarios gain from resolution only if their
+/// candidates read no name by name; pin that lowering placed every name
+/// of their user programs and of every class default in a slot.
+#[test]
+fn reject_heavy_scenarios_resolve_every_name() {
+    for (name, world) in [
+        ("simplest.scenic", "gta"),
+        ("mars_bottleneck.scenic", "mars"),
+    ] {
+        let scenario = compile_bundled(name, world);
+        assert_eq!(
+            scenario.compiled().unresolved_names(),
+            Some(Vec::new()),
+            "{name}: names left to lookup by name"
+        );
+    }
+}
+
+/// Programs that exercise every binding form lowering resolves or leaves
+/// by name: recursion, keyword and default arguments, closures read
+/// after their call returned, a class defined in a function, a specifier
+/// bound to a second name, `while` and `for` counters, a body reading an
+/// outer name before its own assignment, a `def` shadowing a base native
+/// after a use, a nested `def` assigning its caller's parameter and a
+/// non-auto `import`. Each hoists and samples identically on both
+/// engines.
+const SCOPING_PROGRAMS: &[(&str, &str)] = &[
+    (
+        "x = 1\ny = (1, 3)\ndef fact(n):\n    if n <= 1:\n        return 1\n    return n * fact(n - 1)\n\
+         def bump(k=y):\n    x = x + k\n    return x\n\
+         def outer(a):\n    b = a * 2\n    def inner(c):\n        return a + b + c\n    return inner\n\
+         g = outer(2)\nz = g(1)\nbump()\nbump(k=2)\nw = fact(4)\n\
+         ego = Object at x @ z, facing (0, 360) deg\n\
+         Object at w @ (z + (1, 5)), with requireVisible False\n",
+        "bare",
+    ),
+    (
+        "w = 2\ndef mk(q):\n    lw = q + 1\n    class Crate(Object):\n        width: lw\n        height: w\n\
+         \x20       anchor: Point at (self.width @ (0, 1))\n\
+         \x20   return Crate at (q * 10) @ 0, with requireVisible False\n\
+         ego = mk(0)\nw = (2, 4)\nc = mk(1)\nrequire c.anchor.position.x > 1.5\n",
+        "bare",
+    ),
+    (
+        "off = 2\nspecifier east(d, extra=off) specifies position requires width:\n\
+         \x20   return {'position': (d + extra) @ self.width}\n\
+         s2 = east\nego = Object using s2(1), with width (1, 2)\n\
+         o = Object using east(d=3, extra=off), with requireVisible False\nmutate o by 0.5\n\
+         total = 0\ni = 0\nwhile i < 3:\n    total = total + i\n    i = i + 1\n\
+         for j in [1, 2, 3]:\n    total = total + j\n\
+         Object at total @ i, with requireVisible False\n",
+        "bare",
+    ),
+    (
+        "def f():\n    a = b\n    b = 1\n    return a\nb = 7\nv = f()\nego = Object at v @ b\n\
+         a = abs(-3)\ndef abs(q):\n    return 10\nObject at a @ abs(1), with requireVisible False\n",
+        "bare",
+    ),
+    (
+        "def h(p):\n    def g():\n        p = 5\n    g()\n    return p\nt = h(1)\nego = Object at t @ 0\n\
+         def count(n):\n    k = 0\n    for i in range(n):\n        k = k + i\n    return k\n\
+         Object at count(4) @ (1, 3), with requireVisible False\n",
+        "bare",
+    ),
+    (
+        "import marsLib\nego = Rover at 0 @ -2\ndef put(x):\n    return Rock at x @ (1, 2)\n\
+         r = put((-1, 1))\nPipe at 1 @ (1, 2)\n",
+        "mars",
+    ),
+];
+
+#[test]
+fn scoping_programs_hoist_and_agree_on_both_engines() {
+    let mars = scenic::mars::world();
+    for &(source, world) in SCOPING_PROGRAMS {
+        let world = if world == "mars" {
+            &mars
+        } else {
+            &scenic::core::World::bare()
+        };
+        let scenario = compile_with_world(source, world).unwrap();
+        assert!(scenario.compiled().hoisted(), "falls back: {source}");
+        let digest = |engine| {
+            let scenes = Sampler::new(&scenario)
+                .with_engine(engine)
+                .with_seed(5)
+                .sample_batch(3, 1)
+                .unwrap_or_else(|e| panic!("{engine}: {e}: {source}"));
+            batch_digest(&scenes)
+        };
+        assert_eq!(digest(Engine::Ast), digest(Engine::Compiled), "{source}");
+    }
+}
+
 /// A program whose user code shadows a name the library classes depend
 /// on must *not* hoist (the AST engine resolves the library's reference
 /// to the user's definition), but must still sample identically via the

@@ -71,6 +71,36 @@ fn wrong_keyword_argument() {
     assert!(matches!(err, ScenicError::Runtime { .. }), "{err}");
 }
 
+/// Runs `source` under both engines and returns each one's error.
+fn errors_on_both_engines(source: &str) -> Vec<ScenicError> {
+    let scenario = compile(source).unwrap();
+    [Engine::Ast, Engine::Compiled]
+        .into_iter()
+        .map(|engine| {
+            Sampler::new(&scenario)
+                .with_engine(engine)
+                .sample_seeded(0)
+                .unwrap_err()
+        })
+        .collect()
+}
+
+#[test]
+fn an_argument_given_by_position_and_keyword_is_rejected() {
+    // Binding `a` twice used to keep the positional value silently.
+    for err in
+        errors_on_both_engines("def f(a, b=2):\n    return a\nego = Object at f(1, a=5) @ 0\n")
+    {
+        assert!(
+            matches!(&err, ScenicError::Runtime { message, .. }
+                if message == "f() got multiple values for argument `a`"),
+            "{err}"
+        );
+        let code = scenic::core::Diagnostic::from_error(&err).code;
+        assert_eq!(code.as_str(), "E007");
+    }
+}
+
 #[test]
 fn missing_function_argument() {
     let err = run(

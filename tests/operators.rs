@@ -265,3 +265,31 @@ fn follow_field_euler() {
     assert!((p[0] - 8.0).abs() < 1e-9 && p[1].abs() < 1e-9, "{p:?}");
     assert!((scene.objects[1].heading.to_degrees() + 90.0).abs() < 1e-9);
 }
+
+/// A list index must be an integer inside the list: a negative index
+/// counts from the end, and one past either end or with a fraction is a
+/// runtime error (E007) on both engines.
+#[test]
+fn list_indices_are_in_range_integers() {
+    let scene = sample("ego = Object at [1, 2, 3][-1] @ [1, 2, 3][-3]\n", 0);
+    assert_eq!(pos(&scene, 0), [3.0, 1.0]);
+    for (index, expected) in [
+        ("-10", "list index out of range"),
+        ("-4", "list index out of range"),
+        ("3", "list index out of range"),
+        ("1.5", "list index must be an integer"),
+        ("-0.5", "list index must be an integer"),
+    ] {
+        let scenario = compile(&format!("ego = Object at [1, 2, 3][{index}] @ 0\n")).unwrap();
+        for engine in [Engine::Ast, Engine::Compiled] {
+            let err = Sampler::new(&scenario)
+                .with_engine(engine)
+                .sample_seeded(0)
+                .unwrap_err();
+            assert!(
+                matches!(&err, ScenicError::Runtime { message, .. } if message == expected),
+                "{engine}: [1, 2, 3][{index}]: {err}"
+            );
+        }
+    }
+}
