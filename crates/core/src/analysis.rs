@@ -33,7 +33,7 @@ use crate::interp::Scenario;
 use crate::prune;
 use crate::world::NativeValue;
 use scenic_geom::Aabb;
-use scenic_lang::ast::{Expr, Program, Specifier, Stmt, StmtKind};
+use scenic_lang::ast::{for_each_stmt, Expr, Program, Specifier, Stmt, StmtChild, StmtKind};
 use scenic_lang::Span;
 use std::collections::{HashMap, HashSet};
 
@@ -412,9 +412,10 @@ impl ClassTable {
 pub fn analyze(scenario: &Scenario) -> Vec<Diagnostic> {
     let programs = scenario.all_programs();
     let classes = ClassTable::build(&programs);
+    let (params, decisions) = prune::derive_params_explained(&programs);
     let mut diags = Vec::new();
 
-    let mut analyzer = Analyzer::new(scenario, &classes);
+    let mut analyzer = Analyzer::new(scenario, &classes, params.max_distance);
     analyzer.check_defs(&scenario.program, &mut diags);
     analyzer.run(&scenario.program, &mut diags);
 
@@ -424,8 +425,6 @@ pub fn analyze(scenario: &Scenario) -> Vec<Diagnostic> {
     });
 
     // Pruning-derivation notes, in Containment/Orientation/Size order.
-    let (params, decisions) = prune::derive_params_explained(&programs);
-    let _ = params;
     for d in decisions {
         let code = if d.enabled {
             Code::PrunerEnabled
@@ -450,239 +449,10 @@ pub fn analyze(scenario: &Scenario) -> Vec<Diagnostic> {
 // ---------------------------------------------------------------------
 
 /// Collects every identifier *read* anywhere in `stmts` (all nesting
-/// levels; assignment targets and loop variables are not reads).
+/// levels; assignment targets and loop variables are not reads, and a
+/// body's reads of its own parameters count).
 fn collect_uses(stmts: &[Stmt], uses: &mut HashSet<String>) {
-    for stmt in stmts {
-        match &stmt.kind {
-            StmtKind::Import(_) | StmtKind::Pass => {}
-            StmtKind::Assign { value, .. } | StmtKind::Store { value, .. } => {
-                collect_expr_uses(value, uses)
-            }
-            StmtKind::Param(params) => {
-                for (_, e) in params {
-                    collect_expr_uses(e, uses);
-                }
-            }
-            StmtKind::ClassDef(cd) => {
-                if let Some(s) = &cd.superclass {
-                    uses.insert(s.clone());
-                }
-                for (_, e) in &cd.properties {
-                    collect_expr_uses(e, uses);
-                }
-            }
-            StmtKind::Expr(e) => collect_expr_uses(e, uses),
-            StmtKind::Require { prob, cond } => {
-                if let Some(p) = prob {
-                    collect_expr_uses(p, uses);
-                }
-                collect_expr_uses(cond, uses);
-            }
-            StmtKind::Mutate { targets, scale } => {
-                for t in targets {
-                    uses.insert(t.clone());
-                }
-                if let Some(e) = scale {
-                    collect_expr_uses(e, uses);
-                }
-            }
-            StmtKind::FuncDef(fd) => {
-                for (_, default) in &fd.params {
-                    if let Some(e) = default {
-                        collect_expr_uses(e, uses);
-                    }
-                }
-                collect_uses(&fd.body, uses);
-            }
-            StmtKind::SpecifierDef(sd) => {
-                for (_, default) in &sd.params {
-                    if let Some(e) = default {
-                        collect_expr_uses(e, uses);
-                    }
-                }
-                collect_uses(&sd.body, uses);
-            }
-            StmtKind::Return(value) => {
-                if let Some(e) = value {
-                    collect_expr_uses(e, uses);
-                }
-            }
-            StmtKind::If {
-                branches,
-                else_body,
-            } => {
-                for (cond, body) in branches {
-                    collect_expr_uses(cond, uses);
-                    collect_uses(body, uses);
-                }
-                collect_uses(else_body, uses);
-            }
-            StmtKind::For { iter, body, .. } => {
-                collect_expr_uses(iter, uses);
-                collect_uses(body, uses);
-            }
-            StmtKind::While { cond, body } => {
-                collect_expr_uses(cond, uses);
-                collect_uses(body, uses);
-            }
-        }
-    }
-}
-
-fn collect_expr_uses(expr: &Expr, uses: &mut HashSet<String>) {
-    if let Expr::Ident(name) = expr {
-        uses.insert(name.clone());
-    }
-    if let Expr::Ctor { class, .. } = expr {
-        uses.insert(class.clone());
-    }
-    walk_subexprs(expr, &mut |e| collect_expr_uses(e, uses));
-}
-
-/// Calls `f` on every direct subexpression of `expr`.
-pub(crate) fn walk_subexprs(expr: &Expr, f: &mut impl FnMut(&Expr)) {
-    use Expr::*;
-    match expr {
-        Number(_) | Bool(_) | Str(_) | None | Ident(_) | Resolved(_) => {}
-        Vector(a, b)
-        | Interval(a, b)
-        | RelativeTo(a, b)
-        | OffsetBy(a, b)
-        | FieldAt(a, b)
-        | CanSee(a, b)
-        | IsIn(a, b)
-        | VisibleFrom(a, b) => {
-            f(a);
-            f(b);
-        }
-        Call { func, args, kwargs } => {
-            f(func);
-            args.iter().for_each(&mut *f);
-            kwargs.iter().for_each(|(_, e)| f(e));
-        }
-        Attribute { obj, .. } => f(obj),
-        Index { obj, key } => {
-            f(obj);
-            f(key);
-        }
-        List(items) => items.iter().for_each(&mut *f),
-        Dict(pairs) => pairs.iter().for_each(|(k, v)| {
-            f(k);
-            f(v);
-        }),
-        Neg(e) | NotOp(e) | Deg(e) | Visible(e) => f(e),
-        Binary { lhs, rhs, .. } | Compare { lhs, rhs, .. } => {
-            f(lhs);
-            f(rhs);
-        }
-        IfElse {
-            cond,
-            then,
-            otherwise,
-        } => {
-            f(cond);
-            f(then);
-            f(otherwise);
-        }
-        OffsetAlong {
-            base,
-            direction,
-            offset,
-        } => {
-            f(base);
-            f(direction);
-            f(offset);
-        }
-        DistanceTo { from, to } | AngleTo { from, to } => {
-            if let Some(e) = from {
-                f(e);
-            }
-            f(to);
-        }
-        RelativeHeadingOf { of, from } | ApparentHeadingOf { of, from } => {
-            f(of);
-            if let Some(e) = from {
-                f(e);
-            }
-        }
-        Follow {
-            field,
-            from,
-            distance,
-        } => {
-            f(field);
-            if let Some(e) = from {
-                f(e);
-            }
-            f(distance);
-        }
-        BoxPointOf { obj, .. } => f(obj),
-        Ctor { specifiers, .. } => {
-            for spec in specifiers {
-                walk_specifier(spec, f);
-            }
-        }
-    }
-}
-
-fn walk_specifier(spec: &Specifier, f: &mut impl FnMut(&Expr)) {
-    use Specifier::*;
-    match spec {
-        With(_, e)
-        | At(e)
-        | OffsetBy(e)
-        | InRegion(e)
-        | Facing(e)
-        | FacingToward(e)
-        | FacingAwayFrom(e) => f(e),
-        OffsetAlong(a, b) => {
-            f(a);
-            f(b);
-        }
-        Beside { target, by, .. } => {
-            f(target);
-            if let Some(e) = by {
-                f(e);
-            }
-        }
-        Beyond {
-            target,
-            offset,
-            from,
-        } => {
-            f(target);
-            f(offset);
-            if let Some(e) = from {
-                f(e);
-            }
-        }
-        Visible(from) => {
-            if let Some(e) = from {
-                f(e);
-            }
-        }
-        Following {
-            field,
-            from,
-            distance,
-        } => {
-            f(field);
-            if let Some(e) = from {
-                f(e);
-            }
-            f(distance);
-        }
-        ApparentlyFacing { heading, from } => {
-            f(heading);
-            if let Some(e) = from {
-                f(e);
-            }
-        }
-        Using { args, kwargs, .. } => {
-            args.iter().for_each(&mut *f);
-            kwargs.iter().for_each(|(_, e)| f(e));
-        }
-    }
+    for_each_stmt(stmts, &mut |stmt| crate::compile::stmt_reads(stmt, uses));
 }
 
 // ---------------------------------------------------------------------
@@ -705,9 +475,8 @@ struct Analyzer<'a> {
 }
 
 impl<'a> Analyzer<'a> {
-    fn new(scenario: &'a Scenario, classes: &'a ClassTable) -> Self {
+    fn new(scenario: &'a Scenario, classes: &'a ClassTable, derived_max_distance: f64) -> Self {
         let programs = scenario.all_programs();
-        let params = prune::derive_params(&programs);
         let has_mutation = programs.iter().any(|p| stmts_contain_mutate(&p.statements));
         let mut analyzer = Analyzer {
             scenario,
@@ -715,7 +484,7 @@ impl<'a> Analyzer<'a> {
             env: HashMap::new(),
             user_specifiers: HashMap::new(),
             has_mutation,
-            derived_max_distance: params.max_distance,
+            derived_max_distance,
         };
         analyzer.install_natives();
         for program in &programs {
@@ -764,24 +533,7 @@ impl<'a> Analyzer<'a> {
 
         // Names that already mean something before the program runs.
         let mut ambient: HashMap<&str, &str> = HashMap::new();
-        for b in [
-            "Uniform",
-            "Normal",
-            "TruncatedNormal",
-            "Discrete",
-            "resample",
-            "range",
-            "len",
-            "abs",
-            "min",
-            "max",
-            "round",
-            "sqrt",
-            "floor",
-            "ceil",
-            "str",
-            "print",
-        ] {
+        for b in crate::builtins::names() {
             ambient.insert(b, "built-in function");
         }
         for name in self.classes.classes.keys() {
@@ -943,26 +695,14 @@ impl<'a> Analyzer<'a> {
     /// Sets every name a block might assign to Top.
     fn widen_assigned(&mut self, stmts: &[Stmt]) {
         for stmt in stmts {
-            match &stmt.kind {
-                StmtKind::Assign { name, .. } => {
-                    self.env.insert(name.clone(), AbsValue::Top);
-                }
-                StmtKind::For { var, body, .. } => {
-                    self.env.insert(var.clone(), AbsValue::Top);
+            if let StmtKind::Assign { name, .. } | StmtKind::For { var: name, .. } = &stmt.kind {
+                self.env.insert(name.clone(), AbsValue::Top);
+            }
+            stmt.for_each_child(&mut |child| {
+                if let StmtChild::Block { body, frame: false } = child {
                     self.widen_assigned(body);
                 }
-                StmtKind::While { body, .. } => self.widen_assigned(body),
-                StmtKind::If {
-                    branches,
-                    else_body,
-                } => {
-                    for (_, body) in branches {
-                        self.widen_assigned(body);
-                    }
-                    self.widen_assigned(else_body);
-                }
-                _ => {}
-            }
+            });
         }
     }
 
@@ -1538,19 +1278,11 @@ impl<'a> Analyzer<'a> {
 }
 
 pub(crate) fn stmts_contain_mutate(stmts: &[Stmt]) -> bool {
-    stmts.iter().any(|stmt| match &stmt.kind {
-        StmtKind::Mutate { .. } => true,
-        StmtKind::FuncDef(fd) => stmts_contain_mutate(&fd.body),
-        StmtKind::SpecifierDef(sd) => stmts_contain_mutate(&sd.body),
-        StmtKind::If {
-            branches,
-            else_body,
-        } => {
-            branches.iter().any(|(_, b)| stmts_contain_mutate(b)) || stmts_contain_mutate(else_body)
-        }
-        StmtKind::For { body, .. } | StmtKind::While { body, .. } => stmts_contain_mutate(body),
-        _ => false,
-    })
+    let mut found = false;
+    for_each_stmt(stmts, &mut |stmt| {
+        found |= matches!(stmt.kind, StmtKind::Mutate { .. });
+    });
+    found
 }
 
 #[cfg(test)]

@@ -45,8 +45,8 @@
 //! the exact sequence of RNG draws:
 //!
 //! - Folding only rewrites expressions built from literals, which never
-//!   draw; intervals, calls, and anything containing them are rebuilt
-//!   untouched. A folded `if`-expression arm is only selected when the
+//!   draw; intervals, calls, and anything containing them stay in the
+//!   tree. A folded `if`-expression arm is only selected when the
 //!   condition is a literal, mirroring the interpreter's eager branch
 //!   pick on non-random conditions.
 //! - The hoisted prefix is *verified* to draw nothing: the base build
@@ -82,8 +82,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use scenic_geom::region::HalfPlanes;
 use scenic_lang::ast::{
-    Addr, BinOp, ClassDef, CmpOp, CtorSite, Expr, FuncDef, Program, Resolved, Specifier,
-    SpecifierDef, Stmt, StmtKind,
+    for_each_stmt, Addr, BinOp, ClassDef, CmpOp, CtorSite, Expr, Program, Resolved, Specifier,
+    Stmt, StmtChild, StmtChildMut, StmtKind,
 };
 use std::cell::RefCell;
 use std::collections::{BTreeSet, HashMap, HashSet};
@@ -379,7 +379,7 @@ impl CompiledProgram {
         };
         let mut bound = BTreeSet::new();
         for_each_stmt(&scenario.program.statements, &mut |stmt| {
-            for_each_expr(stmt, &mut from_expr);
+            stmt.walk_exprs(&mut from_expr);
             match &stmt.kind {
                 StmtKind::Assign { name, .. } | StmtKind::For { var: name, .. } => {
                     bound.insert(name.clone());
@@ -401,7 +401,7 @@ impl CompiledProgram {
         for program in scenario.all_programs() {
             for_each_stmt(&program.statements, &mut |stmt| {
                 if let StmtKind::ClassDef(_) = stmt.kind {
-                    for_each_expr(stmt, &mut from_expr);
+                    stmt.walk_exprs(&mut from_expr);
                 }
             });
         }
@@ -641,7 +641,7 @@ fn resolve(folded: &Scenario) -> Resolution {
                 StmtKind::Import(m) if !is_auto(m) => module_names(m, &mut by_name),
                 _ => {}
             }
-            for_each_expr(stmt, &mut |e| {
+            stmt.walk_exprs(&mut |e| {
                 if let Expr::Ctor { specifiers, .. } = e {
                     for spec in specifiers {
                         if let Specifier::Using { name, .. } = spec {
@@ -750,19 +750,11 @@ fn frame_binds(stmts: &[Stmt], out: &mut Vec<String>) {
         if let Some(name) = name.filter(|n| !out.contains(n)) {
             out.push(name.clone());
         }
-        match &stmt.kind {
-            StmtKind::If {
-                branches,
-                else_body,
-            } => {
-                for (_, body) in branches {
-                    frame_binds(body, out);
-                }
-                frame_binds(else_body, out);
+        stmt.for_each_child(&mut |child| {
+            if let StmtChild::Block { body, frame: false } = child {
+                frame_binds(body, out);
             }
-            StmtKind::For { body, .. } | StmtKind::While { body, .. } => frame_binds(body, out),
-            _ => {}
-        }
+        });
     }
 }
 
@@ -779,21 +771,14 @@ fn shadowing_in_defs(
         let (params, body) = match &stmt.kind {
             StmtKind::FuncDef(fd) => (&fd.params, &fd.body),
             StmtKind::SpecifierDef(sd) => (&sd.params, &sd.body),
-            StmtKind::If {
-                branches,
-                else_body,
-            } => {
-                for (_, body) in branches {
-                    shadowing_in_defs(body, outer, base, by_name);
-                }
-                shadowing_in_defs(else_body, outer, base, by_name);
+            _ => {
+                stmt.for_each_child(&mut |child| {
+                    if let StmtChild::Block { body, .. } = child {
+                        shadowing_in_defs(body, outer, base, by_name);
+                    }
+                });
                 continue;
             }
-            StmtKind::For { body, .. } | StmtKind::While { body, .. } => {
-                shadowing_in_defs(body, outer, base, by_name);
-                continue;
-            }
-            _ => continue,
         };
         let mut binds = Vec::new();
         frame_binds(body, &mut binds);
@@ -895,7 +880,6 @@ impl Resolver<'_> {
 
     fn stmt(&mut self, stmt: &mut Stmt) {
         match &mut stmt.kind {
-            StmtKind::Import(_) | StmtKind::Pass | StmtKind::Store { .. } => {}
             StmtKind::Assign { name, value } => {
                 self.expr(value);
                 if let Some(addr) = self.addr(name) {
@@ -907,25 +891,7 @@ impl Resolver<'_> {
                     stmt.kind = StmtKind::Store { target, value };
                 }
             }
-            StmtKind::Param(params) => {
-                for (_, e) in params {
-                    self.expr(e);
-                }
-            }
             StmtKind::ClassDef(cd) => self.class_defaults(cd),
-            StmtKind::Expr(e) | StmtKind::Return(Some(e)) => self.expr(e),
-            StmtKind::Return(None) => {}
-            StmtKind::Require { prob, cond } => {
-                if let Some(p) = prob {
-                    self.expr(p);
-                }
-                self.expr(Arc::make_mut(cond));
-            }
-            StmtKind::Mutate { scale, .. } => {
-                if let Some(s) = scale {
-                    self.expr(s);
-                }
-            }
             StmtKind::FuncDef(fd) => {
                 let fd = Arc::make_mut(fd);
                 fd.param_slots = self.def(&mut fd.params, &mut fd.body);
@@ -934,24 +900,10 @@ impl Resolver<'_> {
                 let sd = Arc::make_mut(sd);
                 sd.param_slots = self.def(&mut sd.params, &mut sd.body);
             }
-            StmtKind::If {
-                branches,
-                else_body,
-            } => {
-                for (cond, body) in branches {
-                    self.expr(cond);
-                    self.block(body);
-                }
-                self.block(else_body);
-            }
-            StmtKind::For { iter, body, .. } => {
-                self.expr(iter);
-                self.block(body);
-            }
-            StmtKind::While { cond, body } => {
-                self.expr(cond);
-                self.block(body);
-            }
+            _ => stmt.for_each_child_mut(&mut |child| match child {
+                StmtChildMut::Expr(e) => self.expr(e),
+                StmtChildMut::Block { body, .. } => self.block(body),
+            }),
         }
     }
 
@@ -969,17 +921,11 @@ impl Resolver<'_> {
                     let sd = Arc::make_mut(sd);
                     sd.param_slots = self.def(&mut sd.params, &mut sd.body);
                 }
-                StmtKind::If {
-                    branches,
-                    else_body,
-                } => {
-                    for (_, body) in branches {
+                _ => stmt.for_each_child_mut(&mut |child| {
+                    if let StmtChildMut::Block { body, .. } = child {
                         self.prefix(body);
                     }
-                    self.prefix(else_body);
-                }
-                StmtKind::For { body, .. } | StmtKind::While { body, .. } => self.prefix(body),
-                _ => {}
+                }),
             }
         }
     }
@@ -1017,183 +963,18 @@ impl Resolver<'_> {
                     let name = std::mem::take(name);
                     *e = Expr::Resolved(Resolved { name, addr });
                 }
+                return;
             }
-            Expr::Ctor {
-                class,
-                specifiers,
-                site,
-            } => {
+            Expr::Ctor { class, site, .. } => {
                 *site = Some(CtorSite {
                     id: self.sites,
                     class: self.addr(class),
                 });
                 self.sites += 1;
-                for spec in specifiers {
-                    walk_specifier_mut(spec, &mut |e| self.expr(e));
-                }
             }
-            _ => walk_subexprs_mut(e, &mut |e| self.expr(e)),
+            _ => {}
         }
-    }
-}
-
-/// Calls `f` on every expression node of `stmt`'s own expressions, not
-/// those of the statements nested in it.
-fn for_each_expr(stmt: &Stmt, f: &mut impl FnMut(&Expr)) {
-    fn visit<F: FnMut(&Expr)>(e: &Expr, f: &mut F) {
-        f(e);
-        crate::analysis::walk_subexprs(e, &mut |c| visit(c, &mut *f));
-    }
-    match &stmt.kind {
-        StmtKind::Import(_) | StmtKind::Pass | StmtKind::Return(None) => {}
-        StmtKind::Assign { value, .. } | StmtKind::Store { value, .. } => visit(value, f),
-        StmtKind::Param(params) => params.iter().for_each(|(_, e)| visit(e, f)),
-        StmtKind::ClassDef(cd) => cd.properties.iter().for_each(|(_, e)| visit(e, f)),
-        StmtKind::Expr(e) | StmtKind::Return(Some(e)) => visit(e, f),
-        StmtKind::Require { prob, cond } => {
-            prob.iter().for_each(|p| visit(p, f));
-            visit(cond, f);
-        }
-        StmtKind::Mutate { scale, .. } => scale.iter().for_each(|s| visit(s, f)),
-        StmtKind::FuncDef(fd) => fd
-            .params
-            .iter()
-            .flat_map(|(_, d)| d)
-            .for_each(|d| visit(d, f)),
-        StmtKind::SpecifierDef(sd) => sd
-            .params
-            .iter()
-            .flat_map(|(_, d)| d)
-            .for_each(|d| visit(d, f)),
-        StmtKind::If { branches, .. } => branches.iter().for_each(|(c, _)| visit(c, f)),
-        StmtKind::For { iter: e, .. } | StmtKind::While { cond: e, .. } => visit(e, f),
-    }
-}
-
-/// Calls `f` on every direct subexpression of `expr`, mutably (the
-/// mutable twin of [`crate::analysis::walk_subexprs`]).
-fn walk_subexprs_mut(expr: &mut Expr, f: &mut impl FnMut(&mut Expr)) {
-    match expr {
-        Expr::Number(_)
-        | Expr::Bool(_)
-        | Expr::Str(_)
-        | Expr::None
-        | Expr::Ident(_)
-        | Expr::Resolved(_) => {}
-        Expr::Vector(a, b)
-        | Expr::Interval(a, b)
-        | Expr::RelativeTo(a, b)
-        | Expr::OffsetBy(a, b)
-        | Expr::FieldAt(a, b)
-        | Expr::CanSee(a, b)
-        | Expr::IsIn(a, b)
-        | Expr::VisibleFrom(a, b)
-        | Expr::Index { obj: a, key: b }
-        | Expr::Binary { lhs: a, rhs: b, .. }
-        | Expr::Compare { lhs: a, rhs: b, .. } => {
-            f(a);
-            f(b);
-        }
-        Expr::Call { func, args, kwargs } => {
-            f(func);
-            args.iter_mut().for_each(&mut *f);
-            kwargs.iter_mut().for_each(|(_, e)| f(e));
-        }
-        Expr::Attribute { obj: e, .. }
-        | Expr::Neg(e)
-        | Expr::NotOp(e)
-        | Expr::Deg(e)
-        | Expr::Visible(e)
-        | Expr::BoxPointOf { obj: e, .. } => f(e),
-        Expr::List(items) => items.iter_mut().for_each(&mut *f),
-        Expr::Dict(pairs) => pairs.iter_mut().for_each(|(k, v)| {
-            f(k);
-            f(v);
-        }),
-        Expr::IfElse {
-            cond: a,
-            then: b,
-            otherwise: c,
-        }
-        | Expr::OffsetAlong {
-            base: a,
-            direction: b,
-            offset: c,
-        } => {
-            f(a);
-            f(b);
-            f(c);
-        }
-        Expr::DistanceTo { from, to: e } | Expr::AngleTo { from, to: e } => {
-            from.iter_mut().for_each(|x| f(x));
-            f(e);
-        }
-        Expr::RelativeHeadingOf { of: e, from } | Expr::ApparentHeadingOf { of: e, from } => {
-            f(e);
-            from.iter_mut().for_each(|x| f(x));
-        }
-        Expr::Follow {
-            field,
-            from,
-            distance,
-        } => {
-            f(field);
-            from.iter_mut().for_each(|x| f(x));
-            f(distance);
-        }
-        Expr::Ctor { specifiers, .. } => {
-            for spec in specifiers {
-                walk_specifier_mut(spec, f);
-            }
-        }
-    }
-}
-
-/// Calls `f` on every expression of a specifier, mutably.
-fn walk_specifier_mut(spec: &mut Specifier, f: &mut impl FnMut(&mut Expr)) {
-    match spec {
-        Specifier::With(_, e)
-        | Specifier::At(e)
-        | Specifier::OffsetBy(e)
-        | Specifier::InRegion(e)
-        | Specifier::Facing(e)
-        | Specifier::FacingToward(e)
-        | Specifier::FacingAwayFrom(e) => f(e),
-        Specifier::OffsetAlong(a, b) => {
-            f(a);
-            f(b);
-        }
-        Specifier::Beside { target, by, .. } => {
-            f(target);
-            by.iter_mut().for_each(&mut *f);
-        }
-        Specifier::Beyond {
-            target,
-            offset,
-            from,
-        } => {
-            f(target);
-            f(offset);
-            from.iter_mut().for_each(&mut *f);
-        }
-        Specifier::Visible(from) => from.iter_mut().for_each(&mut *f),
-        Specifier::Following {
-            field,
-            from,
-            distance,
-        } => {
-            f(field);
-            from.iter_mut().for_each(&mut *f);
-            f(distance);
-        }
-        Specifier::ApparentlyFacing { heading, from } => {
-            f(heading);
-            from.iter_mut().for_each(&mut *f);
-        }
-        Specifier::Using { args, kwargs, .. } => {
-            args.iter_mut().for_each(&mut *f);
-            kwargs.iter_mut().for_each(|(_, e)| f(e));
-        }
+        e.for_each_child_mut(&mut |e| self.expr(e));
     }
 }
 
@@ -1201,286 +982,73 @@ fn walk_specifier_mut(spec: &mut Specifier, f: &mut impl FnMut(&mut Expr)) {
 // Constant folding
 // ---------------------------------------------------------------------
 
-/// Folds every statement of a program.
+/// Folds a copy of a program.
 fn fold_program(program: &Program) -> Program {
-    Program {
-        statements: fold_block(&program.statements),
+    let mut folded = program.clone();
+    fold_block(&mut folded.statements);
+    folded
+}
+
+fn fold_block(stmts: &mut [Stmt]) {
+    for stmt in stmts {
+        stmt.for_each_child_mut(&mut |child| match child {
+            StmtChildMut::Expr(e) => fold_expr(e),
+            StmtChildMut::Block { body, .. } => fold_block(body),
+        });
     }
 }
 
-fn fold_block(stmts: &[Stmt]) -> Vec<Stmt> {
-    stmts.iter().map(fold_stmt).collect()
-}
-
-fn fold_stmt(stmt: &Stmt) -> Stmt {
-    let kind = match &stmt.kind {
-        StmtKind::Import(name) => StmtKind::Import(name.clone()),
-        StmtKind::Assign { name, value } => StmtKind::Assign {
-            name: name.clone(),
-            value: fold_expr(value),
-        },
-        StmtKind::Store { target, value } => StmtKind::Store {
-            target: target.clone(),
-            value: fold_expr(value),
-        },
-        StmtKind::Param(params) => StmtKind::Param(
-            params
-                .iter()
-                .map(|(n, e)| (n.clone(), fold_expr(e)))
-                .collect(),
-        ),
-        StmtKind::ClassDef(cd) => StmtKind::ClassDef(ClassDef {
-            name: cd.name.clone(),
-            superclass: cd.superclass.clone(),
-            properties: cd
-                .properties
-                .iter()
-                .map(|(p, e)| (p.clone(), Arc::new(fold_expr(e))))
-                .collect(),
-        }),
-        StmtKind::Expr(e) => StmtKind::Expr(fold_expr(e)),
-        StmtKind::Require { prob, cond } => StmtKind::Require {
-            prob: prob.as_ref().map(fold_expr),
-            cond: Arc::new(fold_expr(cond)),
-        },
-        StmtKind::Mutate { targets, scale } => StmtKind::Mutate {
-            targets: targets.clone(),
-            scale: scale.as_ref().map(fold_expr),
-        },
-        StmtKind::FuncDef(fd) => StmtKind::FuncDef(Arc::new(FuncDef {
-            name: fd.name.clone(),
-            params: fold_params(&fd.params),
-            body: fold_block(&fd.body),
-            param_slots: fd.param_slots.clone(),
-        })),
-        StmtKind::SpecifierDef(sd) => StmtKind::SpecifierDef(Arc::new(SpecifierDef {
-            name: sd.name.clone(),
-            params: fold_params(&sd.params),
-            specifies: sd.specifies.clone(),
-            optional: sd.optional.clone(),
-            requires: sd.requires.clone(),
-            body: fold_block(&sd.body),
-            param_slots: sd.param_slots.clone(),
-        })),
-        StmtKind::Return(e) => StmtKind::Return(e.as_ref().map(fold_expr)),
-        StmtKind::If {
-            branches,
-            else_body,
-        } => StmtKind::If {
-            branches: branches
-                .iter()
-                .map(|(c, b)| (fold_expr(c), fold_block(b)))
-                .collect(),
-            else_body: fold_block(else_body),
-        },
-        StmtKind::For { var, iter, body } => StmtKind::For {
-            var: var.clone(),
-            iter: fold_expr(iter),
-            body: fold_block(body),
-        },
-        StmtKind::While { cond, body } => StmtKind::While {
-            cond: fold_expr(cond),
-            body: fold_block(body),
-        },
-        StmtKind::Pass => StmtKind::Pass,
-    };
-    Stmt {
-        kind,
-        span: stmt.span,
-    }
-}
-
-fn fold_params(params: &[(String, Option<Expr>)]) -> Vec<(String, Option<Expr>)> {
-    params
-        .iter()
-        .map(|(n, d)| (n.clone(), d.as_ref().map(fold_expr)))
-        .collect()
-}
-
-/// Folds one expression bottom-up. Conservative by construction: only
-/// rewrites applications over *literals*, never distributions
-/// (`Interval` draws from the RNG when evaluated) or calls, and never
-/// folds anything whose evaluation the interpreter would reject
-/// (division by zero, boolean coercion of a number).
-fn fold_expr(expr: &Expr) -> Expr {
-    let bf = |e: &Expr| Box::new(fold_expr(e));
-    let of = |e: &Option<Box<Expr>>| e.as_ref().map(|e| Box::new(fold_expr(e)));
-    match expr {
-        Expr::Number(_)
-        | Expr::Bool(_)
-        | Expr::Str(_)
-        | Expr::None
-        | Expr::Ident(_)
-        | Expr::Resolved(_) => expr.clone(),
-        Expr::Vector(x, y) => Expr::Vector(bf(x), bf(y)),
-        // Evaluating an interval draws: fold the bounds, keep the node.
-        Expr::Interval(lo, hi) => Expr::Interval(bf(lo), bf(hi)),
-        Expr::Call { func, args, kwargs } => Expr::Call {
-            func: bf(func),
-            args: args.iter().map(fold_expr).collect(),
-            kwargs: kwargs
-                .iter()
-                .map(|(k, v)| (k.clone(), fold_expr(v)))
-                .collect(),
-        },
-        Expr::Attribute { obj, name } => Expr::Attribute {
-            obj: bf(obj),
-            name: name.clone(),
-        },
-        Expr::Index { obj, key } => Expr::Index {
-            obj: bf(obj),
-            key: bf(key),
-        },
-        Expr::List(items) => Expr::List(items.iter().map(fold_expr).collect()),
-        Expr::Dict(pairs) => Expr::Dict(
-            pairs
-                .iter()
-                .map(|(k, v)| (fold_expr(k), fold_expr(v)))
-                .collect(),
-        ),
-        Expr::Neg(e) => match fold_expr(e) {
+/// Folds one expression in place, children first. Conservative by
+/// construction: only rewrites applications over *literals*, never
+/// distributions (`Interval` draws from the RNG when evaluated; its
+/// bounds fold, the node stays) or calls, and never folds anything whose
+/// evaluation the interpreter would reject (division by zero, boolean
+/// coercion of a number).
+fn fold_expr(expr: &mut Expr) {
+    expr.for_each_child_mut(&mut fold_expr);
+    let folded = match expr {
+        Expr::Neg(e) => match **e {
             Expr::Number(n) => Expr::Number(-n),
-            other => Expr::Neg(Box::new(other)),
+            _ => return,
         },
-        Expr::NotOp(e) => match fold_expr(e) {
+        Expr::NotOp(e) => match **e {
             Expr::Bool(b) => Expr::Bool(!b),
-            other => Expr::NotOp(Box::new(other)),
+            _ => return,
         },
-        Expr::Binary { op, lhs, rhs } => fold_binary(*op, fold_expr(lhs), fold_expr(rhs)),
-        Expr::Compare { op, lhs, rhs } => fold_compare(*op, fold_expr(lhs), fold_expr(rhs)),
+        Expr::Deg(e) => match **e {
+            Expr::Number(n) => Expr::Number(n.to_radians()),
+            _ => return,
+        },
+        Expr::Binary { op, lhs, rhs } => match fold_binary(*op, lhs, rhs) {
+            Some(folded) => folded,
+            None => return,
+        },
+        Expr::Compare { op, lhs, rhs } => match fold_compare(*op, lhs, rhs) {
+            Some(folded) => folded,
+            None => return,
+        },
+        // The interpreter picks the branch eagerly on a non-random
+        // condition; a literal condition makes that pick static.
         Expr::IfElse {
             cond,
             then,
             otherwise,
-        } => match fold_expr(cond) {
-            // The interpreter picks the branch eagerly on a non-random
-            // condition; a literal condition makes that pick static.
-            Expr::Bool(true) => fold_expr(then),
-            Expr::Bool(false) => fold_expr(otherwise),
-            cond => Expr::IfElse {
-                cond: Box::new(cond),
-                then: bf(then),
-                otherwise: bf(otherwise),
-            },
+        } => match **cond {
+            Expr::Bool(true) => std::mem::replace(&mut **then, Expr::None),
+            Expr::Bool(false) => std::mem::replace(&mut **otherwise, Expr::None),
+            _ => return,
         },
-        Expr::Deg(e) => match fold_expr(e) {
-            Expr::Number(n) => Expr::Number(n.to_radians()),
-            other => Expr::Deg(Box::new(other)),
-        },
-        Expr::RelativeTo(a, b) => Expr::RelativeTo(bf(a), bf(b)),
-        Expr::OffsetBy(a, b) => Expr::OffsetBy(bf(a), bf(b)),
-        Expr::OffsetAlong {
-            base,
-            direction,
-            offset,
-        } => Expr::OffsetAlong {
-            base: bf(base),
-            direction: bf(direction),
-            offset: bf(offset),
-        },
-        Expr::FieldAt(f, v) => Expr::FieldAt(bf(f), bf(v)),
-        Expr::CanSee(a, b) => Expr::CanSee(bf(a), bf(b)),
-        Expr::IsIn(a, b) => Expr::IsIn(bf(a), bf(b)),
-        Expr::DistanceTo { from, to } => Expr::DistanceTo {
-            from: of(from),
-            to: bf(to),
-        },
-        Expr::AngleTo { from, to } => Expr::AngleTo {
-            from: of(from),
-            to: bf(to),
-        },
-        Expr::RelativeHeadingOf { of: subj, from } => Expr::RelativeHeadingOf {
-            of: bf(subj),
-            from: of(from),
-        },
-        Expr::ApparentHeadingOf { of: subj, from } => Expr::ApparentHeadingOf {
-            of: bf(subj),
-            from: of(from),
-        },
-        Expr::Visible(r) => Expr::Visible(bf(r)),
-        Expr::VisibleFrom(r, p) => Expr::VisibleFrom(bf(r), bf(p)),
-        Expr::Follow {
-            field,
-            from,
-            distance,
-        } => Expr::Follow {
-            field: bf(field),
-            from: of(from),
-            distance: bf(distance),
-        },
-        Expr::BoxPointOf { which, obj } => Expr::BoxPointOf {
-            which: *which,
-            obj: bf(obj),
-        },
-        Expr::Ctor {
-            class,
-            specifiers,
-            site,
-        } => Expr::Ctor {
-            class: class.clone(),
-            specifiers: specifiers.iter().map(fold_specifier).collect(),
-            site: *site,
-        },
-    }
+        _ => return,
+    };
+    *expr = folded;
 }
 
-fn fold_specifier(spec: &Specifier) -> Specifier {
-    let f = fold_expr;
-    let opt = |e: &Option<Expr>| e.as_ref().map(fold_expr);
-    match spec {
-        Specifier::With(p, e) => Specifier::With(p.clone(), f(e)),
-        Specifier::At(e) => Specifier::At(f(e)),
-        Specifier::OffsetBy(e) => Specifier::OffsetBy(f(e)),
-        Specifier::OffsetAlong(a, b) => Specifier::OffsetAlong(f(a), f(b)),
-        Specifier::Beside { side, target, by } => Specifier::Beside {
-            side: *side,
-            target: f(target),
-            by: opt(by),
-        },
-        Specifier::Beyond {
-            target,
-            offset,
-            from,
-        } => Specifier::Beyond {
-            target: f(target),
-            offset: f(offset),
-            from: opt(from),
-        },
-        Specifier::Visible(from) => Specifier::Visible(opt(from)),
-        Specifier::InRegion(e) => Specifier::InRegion(f(e)),
-        Specifier::Following {
-            field,
-            from,
-            distance,
-        } => Specifier::Following {
-            field: f(field),
-            from: opt(from),
-            distance: f(distance),
-        },
-        Specifier::Facing(e) => Specifier::Facing(f(e)),
-        Specifier::FacingToward(e) => Specifier::FacingToward(f(e)),
-        Specifier::FacingAwayFrom(e) => Specifier::FacingAwayFrom(f(e)),
-        Specifier::ApparentlyFacing { heading, from } => Specifier::ApparentlyFacing {
-            heading: f(heading),
-            from: opt(from),
-        },
-        Specifier::Using { name, args, kwargs } => Specifier::Using {
-            name: name.clone(),
-            args: args.iter().map(fold_expr).collect(),
-            kwargs: kwargs
-                .iter()
-                .map(|(k, v)| (k.clone(), fold_expr(v)))
-                .collect(),
-        },
-    }
-}
-
-/// Folds a binary application over literal operands, mirroring the
-/// interpreter's numeric/string cases exactly. Short-circuit folds for
-/// `and`/`or` only fire where the interpreter provably never evaluates
-/// the right operand.
-fn fold_binary(op: BinOp, lhs: Expr, rhs: Expr) -> Expr {
-    match (op, &lhs, &rhs) {
+/// The literal a binary application over literal operands folds to,
+/// mirroring the interpreter's numeric/string cases exactly.
+/// Short-circuit folds for `and`/`or` only fire where the interpreter
+/// provably never evaluates the right operand.
+fn fold_binary(op: BinOp, lhs: &Expr, rhs: &Expr) -> Option<Expr> {
+    Some(match (op, lhs, rhs) {
         (BinOp::Add, Expr::Number(a), Expr::Number(b)) => Expr::Number(a + b),
         (BinOp::Sub, Expr::Number(a), Expr::Number(b)) => Expr::Number(a - b),
         (BinOp::Mul, Expr::Number(a), Expr::Number(b)) => Expr::Number(a * b),
@@ -1495,19 +1063,15 @@ fn fold_binary(op: BinOp, lhs: Expr, rhs: Expr) -> Expr {
         (BinOp::Or, Expr::Bool(true), _) => Expr::Bool(true),
         (BinOp::And, Expr::Bool(true), Expr::Bool(b)) => Expr::Bool(*b),
         (BinOp::Or, Expr::Bool(false), Expr::Bool(b)) => Expr::Bool(*b),
-        _ => Expr::Binary {
-            op,
-            lhs: Box::new(lhs),
-            rhs: Box::new(rhs),
-        },
-    }
+        _ => return None,
+    })
 }
 
-/// Folds a comparison over same-kind literals (numbers order and
-/// compare; strings and booleans compare for equality/identity only),
-/// mirroring [`Value::equals`].
-fn fold_compare(op: CmpOp, lhs: Expr, rhs: Expr) -> Expr {
-    let eq = match (&lhs, &rhs) {
+/// The literal a comparison over same-kind literals folds to (numbers
+/// order and compare; strings and booleans compare for equality/identity
+/// only), mirroring [`Value::equals`].
+fn fold_compare(op: CmpOp, lhs: &Expr, rhs: &Expr) -> Option<Expr> {
+    let eq = match (lhs, rhs) {
         (Expr::Number(a), Expr::Number(b)) => {
             if let Some(b) = match op {
                 CmpOp::Lt => Some(a < b),
@@ -1516,51 +1080,24 @@ fn fold_compare(op: CmpOp, lhs: Expr, rhs: Expr) -> Expr {
                 CmpOp::Ge => Some(a >= b),
                 _ => None,
             } {
-                return Expr::Bool(b);
+                return Some(Expr::Bool(b));
             }
-            Some(a == b)
+            a == b
         }
-        (Expr::Str(a), Expr::Str(b)) => Some(a == b),
-        (Expr::Bool(a), Expr::Bool(b)) => Some(a == b),
-        _ => None,
+        (Expr::Str(a), Expr::Str(b)) => a == b,
+        (Expr::Bool(a), Expr::Bool(b)) => a == b,
+        _ => return None,
     };
-    match (op, eq) {
-        (CmpOp::Eq | CmpOp::Is, Some(eq)) => Expr::Bool(eq),
-        (CmpOp::Ne | CmpOp::IsNot, Some(eq)) => Expr::Bool(!eq),
-        _ => Expr::Compare {
-            op,
-            lhs: Box::new(lhs),
-            rhs: Box::new(rhs),
-        },
+    match op {
+        CmpOp::Eq | CmpOp::Is => Some(Expr::Bool(eq)),
+        CmpOp::Ne | CmpOp::IsNot => Some(Expr::Bool(!eq)),
+        _ => None,
     }
 }
 
 // ---------------------------------------------------------------------
 // Static hoist-safety analysis
 // ---------------------------------------------------------------------
-
-/// Visits every statement, recursing into all nested bodies (function,
-/// specifier, `if`/`for`/`while`).
-pub(crate) fn for_each_stmt<'a>(stmts: &'a [Stmt], f: &mut impl FnMut(&'a Stmt)) {
-    for stmt in stmts {
-        f(stmt);
-        match &stmt.kind {
-            StmtKind::FuncDef(fd) => for_each_stmt(&fd.body, f),
-            StmtKind::SpecifierDef(sd) => for_each_stmt(&sd.body, f),
-            StmtKind::If {
-                branches,
-                else_body,
-            } => {
-                for (_, body) in branches {
-                    for_each_stmt(body, f);
-                }
-                for_each_stmt(else_body, f);
-            }
-            StmtKind::For { body, .. } | StmtKind::While { body, .. } => for_each_stmt(body, f),
-            _ => {}
-        }
-    }
-}
 
 /// `assign` targets at every nesting depth.
 fn assigns_all(stmts: &[Stmt], out: &mut HashSet<String>) {
@@ -1606,258 +1143,71 @@ pub(crate) fn defined_names(stmts: &[Stmt], out: &mut HashSet<String>) {
 }
 
 /// Every identifier the statements might look up *in their defining
-/// scope*: `Ident` nodes, constructor class names, `using` specifier
-/// names, and class superclass names, at every depth (including
-/// default-value and parameter-default expressions). References inside
-/// a function or specifier body to that def's own parameters are *not*
-/// free — parameters are bound in the local scope at call entry, before
-/// any body statement runs, so they can never resolve to an outer name
-/// in either engine. Locally-assigned names are NOT subtracted: our
-/// scoping is dynamic, so a body can read a name before its own
+/// scope* ([`stmt_reads`]), at every depth. References inside a function
+/// or specifier body to that def's own parameters are *not* free —
+/// parameters are bound in the local scope at call entry, before any body
+/// statement runs, so they can never resolve to an outer name in either
+/// engine; nor is `self`, which the interpreter binds before evaluating
+/// any specifier or default. Locally-assigned names are NOT subtracted:
+/// our scoping is dynamic, so a body can read a name before its own
 /// assignment reaches it (`x = x + 1` reads the outer `x`).
 fn referenced_idents(stmts: &[Stmt], out: &mut HashSet<String>) {
     for stmt in stmts {
-        match &stmt.kind {
-            StmtKind::Import(_) | StmtKind::Pass => {}
-            StmtKind::Assign { value, .. } | StmtKind::Store { value, .. } => {
-                collect_expr_idents(value, out)
-            }
-            StmtKind::Param(params) => {
-                for (_, e) in params {
-                    collect_expr_idents(e, out);
+        stmt_reads(stmt, out);
+        let params = match &stmt.kind {
+            StmtKind::FuncDef(fd) => &fd.params[..],
+            StmtKind::SpecifierDef(sd) => &sd.params,
+            _ => &[],
+        };
+        stmt.for_each_child(&mut |child| match child {
+            StmtChild::Expr(_) => {}
+            StmtChild::Block { body, frame: false } => referenced_idents(body, out),
+            StmtChild::Block { body, frame: true } => {
+                let mut body_refs = HashSet::new();
+                referenced_idents(body, &mut body_refs);
+                for (name, _) in params {
+                    body_refs.remove(name);
                 }
+                body_refs.remove("self");
+                out.extend(body_refs);
             }
-            StmtKind::ClassDef(cd) => {
-                if let Some(superclass) = &cd.superclass {
-                    out.insert(superclass.clone());
-                }
-                for (_, e) in &cd.properties {
-                    collect_expr_idents(e, out);
-                }
-            }
-            StmtKind::Expr(e) => collect_expr_idents(e, out),
-            StmtKind::Require { prob, cond } => {
-                if let Some(p) = prob {
-                    collect_expr_idents(p, out);
-                }
-                collect_expr_idents(cond, out);
-            }
-            StmtKind::Mutate { targets, scale } => {
-                out.extend(targets.iter().cloned());
-                if let Some(s) = scale {
-                    collect_expr_idents(s, out);
-                }
-            }
-            StmtKind::FuncDef(fd) => {
-                free_refs_of_def(&fd.params, &fd.body, out);
-            }
-            StmtKind::SpecifierDef(sd) => {
-                free_refs_of_def(&sd.params, &sd.body, out);
-            }
-            StmtKind::Return(e) => {
-                if let Some(e) = e {
-                    collect_expr_idents(e, out);
-                }
-            }
-            StmtKind::If {
-                branches,
-                else_body,
-            } => {
-                for (cond, body) in branches {
-                    collect_expr_idents(cond, out);
-                    referenced_idents(body, out);
-                }
-                referenced_idents(else_body, out);
-            }
-            StmtKind::For { iter, body, .. } => {
-                collect_expr_idents(iter, out);
-                referenced_idents(body, out);
-            }
-            StmtKind::While { cond, body } => {
-                collect_expr_idents(cond, out);
-                referenced_idents(body, out);
-            }
-        }
+        });
     }
 }
 
-/// Free references of one function/specifier definition: parameter
-/// defaults evaluate in the defining scope (always free), and body
-/// references are free unless they name a parameter (or `self`, which
-/// the interpreter binds before evaluating any specifier or default).
-fn free_refs_of_def(params: &[(String, Option<Expr>)], body: &[Stmt], out: &mut HashSet<String>) {
-    for (_, default) in params {
-        if let Some(d) = default {
-            collect_expr_idents(d, out);
+/// The names one statement itself reads, not counting its nested
+/// statements: the identifiers of its own expressions
+/// ([`collect_expr_idents`]), its superclass and its `mutate` targets.
+pub(crate) fn stmt_reads(stmt: &Stmt, out: &mut HashSet<String>) {
+    match &stmt.kind {
+        StmtKind::ClassDef(cd) => out.extend(cd.superclass.iter().cloned()),
+        StmtKind::Mutate { targets, .. } => out.extend(targets.iter().cloned()),
+        _ => {}
+    }
+    stmt.for_each_child(&mut |child| {
+        if let StmtChild::Expr(e) = child {
+            collect_expr_idents(e, out);
         }
-    }
-    let mut body_refs = HashSet::new();
-    referenced_idents(body, &mut body_refs);
-    for (name, _) in params {
-        body_refs.remove(name);
-    }
-    body_refs.remove("self");
-    out.extend(body_refs);
+    });
 }
 
+/// Every name an expression may look up, at every depth: identifiers,
+/// constructed classes and `using` specifier names.
 pub(crate) fn collect_expr_idents(expr: &Expr, out: &mut HashSet<String>) {
-    let mut go = |e: &Expr| collect_expr_idents(e, out);
-    match expr {
-        Expr::Number(_) | Expr::Bool(_) | Expr::Str(_) | Expr::None => {}
-        Expr::Ident(_) | Expr::Resolved(_) => {
-            out.extend(expr.ident().map(String::from));
-        }
-        Expr::Vector(a, b)
-        | Expr::Interval(a, b)
-        | Expr::RelativeTo(a, b)
-        | Expr::OffsetBy(a, b)
-        | Expr::FieldAt(a, b)
-        | Expr::CanSee(a, b)
-        | Expr::IsIn(a, b)
-        | Expr::VisibleFrom(a, b) => {
-            go(a);
-            go(b);
-        }
-        Expr::Call { func, args, kwargs } => {
-            collect_expr_idents(func, out);
-            for a in args {
-                collect_expr_idents(a, out);
-            }
-            for (_, v) in kwargs {
-                collect_expr_idents(v, out);
-            }
-        }
-        Expr::Attribute { obj, .. } => collect_expr_idents(obj, out),
-        Expr::Index { obj, key } => {
-            go(obj);
-            go(key);
-        }
-        Expr::List(items) => {
-            for i in items {
-                collect_expr_idents(i, out);
-            }
-        }
-        Expr::Dict(pairs) => {
-            for (k, v) in pairs {
-                collect_expr_idents(k, out);
-                collect_expr_idents(v, out);
-            }
-        }
-        Expr::Neg(e) | Expr::NotOp(e) | Expr::Deg(e) | Expr::Visible(e) => {
-            collect_expr_idents(e, out)
-        }
-        Expr::Binary { lhs, rhs, .. } | Expr::Compare { lhs, rhs, .. } => {
-            go(lhs);
-            go(rhs);
-        }
-        Expr::IfElse {
-            cond,
-            then,
-            otherwise,
-        } => {
-            go(cond);
-            go(then);
-            go(otherwise);
-        }
-        Expr::OffsetAlong {
-            base,
-            direction,
-            offset,
-        } => {
-            go(base);
-            go(direction);
-            go(offset);
-        }
-        Expr::DistanceTo { from, to } | Expr::AngleTo { from, to } => {
-            if let Some(f) = from {
-                collect_expr_idents(f, out);
-            }
-            collect_expr_idents(to, out);
-        }
-        Expr::RelativeHeadingOf { of, from } | Expr::ApparentHeadingOf { of, from } => {
-            collect_expr_idents(of, out);
-            if let Some(f) = from {
-                collect_expr_idents(f, out);
-            }
-        }
-        Expr::Follow {
-            field,
-            from,
-            distance,
-        } => {
-            collect_expr_idents(field, out);
-            if let Some(f) = from {
-                collect_expr_idents(f, out);
-            }
-            collect_expr_idents(distance, out);
-        }
-        Expr::BoxPointOf { obj, .. } => collect_expr_idents(obj, out),
+    expr.walk(&mut |e| match e {
+        Expr::Ident(_) | Expr::Resolved(_) => out.extend(e.ident().map(String::from)),
         Expr::Ctor {
             class, specifiers, ..
         } => {
             out.insert(class.clone());
             for spec in specifiers {
-                collect_spec_idents(spec, out);
+                if let Specifier::Using { name, .. } = spec {
+                    out.insert(name.clone());
+                }
             }
         }
-    }
-}
-
-fn collect_spec_idents(spec: &Specifier, out: &mut HashSet<String>) {
-    let opt = |e: &Option<Expr>, out: &mut HashSet<String>| {
-        if let Some(e) = e {
-            collect_expr_idents(e, out);
-        }
-    };
-    match spec {
-        Specifier::With(_, e)
-        | Specifier::At(e)
-        | Specifier::OffsetBy(e)
-        | Specifier::InRegion(e)
-        | Specifier::Facing(e)
-        | Specifier::FacingToward(e)
-        | Specifier::FacingAwayFrom(e) => collect_expr_idents(e, out),
-        Specifier::OffsetAlong(a, b) => {
-            collect_expr_idents(a, out);
-            collect_expr_idents(b, out);
-        }
-        Specifier::Beside { target, by, .. } => {
-            collect_expr_idents(target, out);
-            opt(by, out);
-        }
-        Specifier::Beyond {
-            target,
-            offset,
-            from,
-        } => {
-            collect_expr_idents(target, out);
-            collect_expr_idents(offset, out);
-            opt(from, out);
-        }
-        Specifier::Visible(from) => opt(from, out),
-        Specifier::Following {
-            field,
-            from,
-            distance,
-        } => {
-            collect_expr_idents(field, out);
-            opt(from, out);
-            collect_expr_idents(distance, out);
-        }
-        Specifier::ApparentlyFacing { heading, from } => {
-            collect_expr_idents(heading, out);
-            opt(from, out);
-        }
-        Specifier::Using { name, args, kwargs } => {
-            out.insert(name.clone());
-            for a in args {
-                collect_expr_idents(a, out);
-            }
-            for (_, v) in kwargs {
-                collect_expr_idents(v, out);
-            }
-        }
-    }
+        _ => {}
+    });
 }
 
 #[cfg(test)]
@@ -2024,6 +1374,54 @@ mod tests {
             unresolved("def f():\n    a = b\n    b = 1\n    return a\n"),
             ["f"]
         );
+    }
+
+    #[test]
+    fn reads_are_found_in_every_specifier_slot() {
+        let slots = [
+            "with w $",
+            "at $",
+            "offset by $",
+            "offset along $ by 0 @ 0",
+            "offset along 0 by $",
+            "left of $",
+            "left of 0 @ 0 by $",
+            "beyond $ by 0 @ 0",
+            "beyond 0 @ 0 by $",
+            "beyond 0 @ 0 by 0 @ 0 from $",
+            "visible from $",
+            "in $",
+            "following $ for 1",
+            "following f from $ for 1",
+            "following f for $",
+            "facing $",
+            "facing toward $",
+            "facing away from $",
+            "apparently facing $",
+            "apparently facing 0 from $",
+            "using u($)",
+            "using u(k=$)",
+        ];
+        for slot in slots {
+            // `Object <slot>`, with `arg` in the slot, nested one
+            // expression deep.
+            let ctor = |arg: &str| {
+                let source = format!("Object {}\n", slot.replace('$', &format!("[{arg}]")));
+                let program = parse(&source).unwrap();
+                let StmtKind::Expr(e) = &program.statements[0].kind else {
+                    panic!("{source}");
+                };
+                e.clone()
+            };
+            let mut names = HashSet::new();
+            collect_expr_idents(&ctor("target"), &mut names);
+            assert!(names.contains("target"), "{slot}: {names:?}");
+            assert_eq!(
+                crate::class::self_dependencies(&ctor("self.p")),
+                ["p"],
+                "{slot}"
+            );
+        }
     }
 
     #[test]

@@ -85,17 +85,15 @@
 //! reach in the rest of its construction becomes a rejection on the
 //! compiled engine — the contract early rejection already has.
 
-use crate::analysis::{stmts_contain_mutate, walk_subexprs};
+use crate::analysis::stmts_contain_mutate;
 use crate::class::RuntimeClass;
-use crate::compile::{
-    assigns_in_defs, collect_expr_idents, defined_names, for_each_stmt, CachedDefault,
-};
+use crate::compile::{assigns_in_defs, collect_expr_idents, defined_names, CachedDefault};
 use crate::env::{lookup, EnvRef};
 use crate::interp::{ActionShape, Scenario};
 use crate::specifier::ResolvedOrder;
 use crate::value::{dict_get, Value};
 use crate::world::NativeValue;
-use scenic_lang::ast::{Expr, StmtKind};
+use scenic_lang::ast::{for_each_stmt, Expr, StmtKind};
 use std::collections::HashSet;
 
 /// Which of one scenario's constraints the interpreter may check as soon
@@ -314,7 +312,7 @@ fn calls_only_resolved_natives(expr: &Expr, env: &EnvRef) -> bool {
         Expr::Call { func, .. } => matches!(resolve_name(func, env), Some(Value::Native(_))),
         _ => true,
     };
-    walk_subexprs(expr, &mut |e| {
+    expr.for_each_child(&mut |e| {
         ok = ok && calls_only_resolved_natives(e, env);
     });
     ok
@@ -330,7 +328,7 @@ fn calls_only_natives(expr: &Expr, uncallable: &HashSet<String>) -> bool {
         }
         _ => true,
     };
-    walk_subexprs(expr, &mut |e| ok = ok && calls_only_natives(e, uncallable));
+    expr.for_each_child(&mut |e| ok = ok && calls_only_natives(e, uncallable));
     ok
 }
 

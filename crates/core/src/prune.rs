@@ -53,7 +53,9 @@ use scenic_geom::clip::{dilate_convex, restrict_to_dilation};
 use scenic_geom::field::FieldCell;
 use scenic_geom::region::PolygonRegion;
 use scenic_geom::{Heading, Polygon, Region, Vec2, VectorField};
-use scenic_lang::ast::{ClassDef, Expr, Program, Specifier, Stmt, StmtKind};
+use scenic_lang::ast::{
+    for_each_stmt, ClassDef, Expr, Program, Specifier, Stmt, StmtChild, StmtKind,
+};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -577,6 +579,10 @@ pub struct PruneHints {
     /// no sound minimum object radius exists — derivation disables
     /// containment pruning.
     pub unknown_dim_override: bool,
+    /// The smallest in-radius (half the smaller dimension) any physical
+    /// class declares; `None` when some physical class has a dimension no
+    /// constant lower-bounds, or no class is physical.
+    pub min_class_half_extent: Option<f64>,
 }
 
 impl PruneHints {
@@ -594,24 +600,21 @@ impl PruneHints {
     }
 }
 
-/// Scans a parsed program for pruning hints: `with roadDeviation (a, b)`
-/// wiggles (bounding the field-relative heading deviation δ),
-/// `facing (a, b) deg relative to <field>` specifiers, explicit
-/// `with visibleDistance N` overrides (bounding the max distance M),
-/// plus the soundness blockers [`derive_params`] checks (`mutate`
-/// statements, helper points drawn `on` regions, non-constant dimension
-/// overrides). The scan recurses into function, loop, and specifier
-/// bodies.
-pub fn hints_from_program(program: &Program) -> PruneHints {
-    hints_from_programs(&[program])
-}
-
-/// [`hints_from_program`] over several sources scanned as one scenario
-/// (user program + prelude + module libraries); class physicality is
-/// resolved across all of them.
+/// Scans the sources of one scenario (user program + prelude + module
+/// libraries; class physicality is resolved across all of them) for
+/// pruning hints: `with roadDeviation (a, b)` wiggles (bounding the
+/// field-relative heading deviation δ), `facing (a, b) deg relative to
+/// <field>` specifiers, explicit `with visibleDistance N` overrides
+/// (bounding the max distance M), the classes' declared dimensions, plus
+/// the soundness blockers [`derive_params`] checks (`mutate` statements,
+/// helper points drawn `on` regions, non-constant dimension overrides).
+/// The scan recurses into function, loop, and specifier bodies.
 pub fn hints_from_programs(programs: &[&Program]) -> PruneHints {
     let classes = ClassTable::build(programs);
-    let mut hints = PruneHints::default();
+    let mut hints = PruneHints {
+        min_class_half_extent: classes.min_physical_half_extent(),
+        ..PruneHints::default()
+    };
     for program in programs {
         scan_stmts(&program.statements, &mut hints, &classes);
     }
@@ -619,69 +622,27 @@ pub fn hints_from_programs(programs: &[&Program]) -> PruneHints {
 }
 
 fn scan_stmts(stmts: &[Stmt], hints: &mut PruneHints, classes: &ClassTable) {
-    for stmt in stmts {
-        match &stmt.kind {
-            StmtKind::Import(_) | StmtKind::Pass => {}
-            StmtKind::Assign { value, .. } | StmtKind::Store { value, .. } => {
-                scan_expr(value, hints, classes, false)
-            }
-            StmtKind::Param(params) => {
-                for (_, e) in params {
-                    scan_expr(e, hints, classes, false);
-                }
-            }
-            StmtKind::ClassDef(cd) => {
-                for (prop, default) in &cd.properties {
-                    // `position: Point on region` class defaults are the
-                    // one place a Point-on-region draw *is* the final
-                    // object position (the gtaLib/marsLib idiom) — but
-                    // only when the class being defined is physical; a
-                    // non-physical helper class's position is not an
-                    // object center.
-                    let allow = prop == "position" && classes.is_physical(&cd.name);
-                    scan_expr(default, hints, classes, allow);
-                }
-            }
-            StmtKind::Expr(e) => scan_expr(e, hints, classes, false),
-            StmtKind::Require { prob, cond } => {
-                if let Some(p) = prob {
-                    scan_expr(p, hints, classes, false);
-                }
-                scan_expr(cond, hints, classes, false);
-            }
-            StmtKind::Mutate { scale, .. } => {
-                hints.has_mutation = true;
-                if let Some(e) = scale {
-                    scan_expr(e, hints, classes, false);
-                }
-            }
-            StmtKind::FuncDef(fd) => scan_stmts(&fd.body, hints, classes),
-            StmtKind::SpecifierDef(sd) => scan_stmts(&sd.body, hints, classes),
-            StmtKind::Return(value) => {
-                if let Some(e) = value {
-                    scan_expr(e, hints, classes, false);
-                }
-            }
-            StmtKind::If {
-                branches,
-                else_body,
-            } => {
-                for (cond, body) in branches {
-                    scan_expr(cond, hints, classes, false);
-                    scan_stmts(body, hints, classes);
-                }
-                scan_stmts(else_body, hints, classes);
-            }
-            StmtKind::For { iter, body, .. } => {
-                scan_expr(iter, hints, classes, false);
-                scan_stmts(body, hints, classes);
-            }
-            StmtKind::While { cond, body } => {
-                scan_expr(cond, hints, classes, false);
-                scan_stmts(body, hints, classes);
+    for_each_stmt(stmts, &mut |stmt| match &stmt.kind {
+        StmtKind::ClassDef(cd) => {
+            for (prop, default) in &cd.properties {
+                // `position: Point on region` class defaults are the one
+                // place a Point-on-region draw *is* the final object
+                // position (the gtaLib/marsLib idiom) — but only when the
+                // class being defined is physical; a non-physical helper
+                // class's position is not an object center.
+                let allow = prop == "position" && classes.is_physical(&cd.name);
+                scan_expr(default, hints, classes, allow);
             }
         }
-    }
+        kind => {
+            hints.has_mutation |= matches!(kind, StmtKind::Mutate { .. });
+            stmt.for_each_child(&mut |child| {
+                if let StmtChild::Expr(e) = child {
+                    scan_expr(e, hints, classes, false);
+                }
+            });
+        }
+    });
 }
 
 /// Recursive expression scan. `allow_point_on_region` applies only to a
@@ -693,195 +654,40 @@ fn scan_expr(
     classes: &ClassTable,
     allow_point_on_region: bool,
 ) {
-    use Expr::*;
-    match expr {
-        Number(_) | Bool(_) | Str(_) | None | Ident(_) | Resolved(_) => {}
-        Vector(a, b)
-        | Interval(a, b)
-        | RelativeTo(a, b)
-        | OffsetBy(a, b)
-        | FieldAt(a, b)
-        | CanSee(a, b)
-        | IsIn(a, b) => {
-            scan_expr(a, hints, classes, false);
-            scan_expr(b, hints, classes, false);
-        }
-        Call { func, args, kwargs } => {
-            scan_expr(func, hints, classes, false);
-            for a in args {
-                scan_expr(a, hints, classes, false);
-            }
-            for (_, v) in kwargs {
-                scan_expr(v, hints, classes, false);
-            }
-        }
-        Attribute { obj, .. } => scan_expr(obj, hints, classes, false),
-        Index { obj, key } => {
-            scan_expr(obj, hints, classes, false);
-            scan_expr(key, hints, classes, false);
-        }
-        List(items) => {
-            for e in items {
-                scan_expr(e, hints, classes, false);
-            }
-        }
-        Dict(items) => {
-            for (k, v) in items {
-                scan_expr(k, hints, classes, false);
-                scan_expr(v, hints, classes, false);
-            }
-        }
-        Neg(e) | NotOp(e) | Deg(e) | Visible(e) => scan_expr(e, hints, classes, false),
-        Binary { lhs, rhs, .. } | Compare { lhs, rhs, .. } => {
-            scan_expr(lhs, hints, classes, false);
-            scan_expr(rhs, hints, classes, false);
-        }
-        IfElse {
-            cond,
-            then,
-            otherwise,
-        } => {
-            scan_expr(cond, hints, classes, false);
-            scan_expr(then, hints, classes, false);
-            scan_expr(otherwise, hints, classes, false);
-        }
-        OffsetAlong {
-            base,
-            direction,
-            offset,
-        } => {
-            scan_expr(base, hints, classes, false);
-            scan_expr(direction, hints, classes, false);
-            scan_expr(offset, hints, classes, false);
-        }
-        DistanceTo { from, to } | AngleTo { from, to } => {
-            if let Some(e) = from {
-                scan_expr(e, hints, classes, false);
-            }
-            scan_expr(to, hints, classes, false);
-        }
-        RelativeHeadingOf { of, from } | ApparentHeadingOf { of, from } => {
-            scan_expr(of, hints, classes, false);
-            if let Some(e) = from {
-                scan_expr(e, hints, classes, false);
-            }
-        }
-        VisibleFrom(a, b) => {
-            scan_expr(a, hints, classes, false);
-            scan_expr(b, hints, classes, false);
-        }
-        Follow {
-            field,
-            from,
-            distance,
-        } => {
-            scan_expr(field, hints, classes, false);
-            if let Some(e) = from {
-                scan_expr(e, hints, classes, false);
-            }
-            scan_expr(distance, hints, classes, false);
-        }
-        BoxPointOf { obj, .. } => scan_expr(obj, hints, classes, false),
-        Ctor {
-            class, specifiers, ..
-        } => {
-            hints.object_count += 1;
-            for spec in specifiers {
-                if matches!(spec, Specifier::InRegion(_))
-                    && !allow_point_on_region
-                    && !classes.is_physical(class)
-                {
+    if let Expr::Ctor {
+        class, specifiers, ..
+    } = expr
+    {
+        hints.object_count += 1;
+        for spec in specifiers {
+            match spec {
+                Specifier::InRegion(_) if !allow_point_on_region && !classes.is_physical(class) => {
                     hints.helper_on_region = true;
                 }
-                match spec {
-                    Specifier::With(prop, value) if prop == "roadDeviation" => {
-                        if let Some(b) = interval_bound(value) {
-                            hints.note_wiggle(b);
-                        }
-                        scan_expr(value, hints, classes, false);
-                    }
-                    Specifier::With(prop, value) if prop == "visibleDistance" => {
-                        if let Some(d) = const_scalar(value) {
-                            hints.visible_distance =
-                                Some(hints.visible_distance.map_or(d, |m: f64| m.min(d)));
-                        }
-                        scan_expr(value, hints, classes, false);
-                    }
-                    Specifier::With(prop, value) if prop == "width" || prop == "height" => {
-                        hints.note_dim_override(value);
-                        scan_expr(value, hints, classes, false);
-                    }
-                    Specifier::Facing(expr) => {
-                        if let Expr::RelativeTo(lhs, _) = expr {
-                            if let Some(b) = interval_bound(lhs) {
-                                hints.note_wiggle(b);
-                            }
-                        }
-                        scan_expr(expr, hints, classes, false);
-                    }
-                    Specifier::With(_, value)
-                    | Specifier::At(value)
-                    | Specifier::OffsetBy(value)
-                    | Specifier::InRegion(value)
-                    | Specifier::FacingToward(value)
-                    | Specifier::FacingAwayFrom(value) => {
-                        scan_expr(value, hints, classes, false);
-                    }
-                    Specifier::OffsetAlong(a, b) => {
-                        scan_expr(a, hints, classes, false);
-                        scan_expr(b, hints, classes, false);
-                    }
-                    Specifier::Beside { target, by, .. } => {
-                        scan_expr(target, hints, classes, false);
-                        if let Some(e) = by {
-                            scan_expr(e, hints, classes, false);
-                        }
-                    }
-                    Specifier::Beyond {
-                        target,
-                        offset,
-                        from,
-                    } => {
-                        scan_expr(target, hints, classes, false);
-                        scan_expr(offset, hints, classes, false);
-                        if let Some(e) = from {
-                            scan_expr(e, hints, classes, false);
-                        }
-                    }
-                    Specifier::Visible(from) => {
-                        if let Some(e) = from {
-                            scan_expr(e, hints, classes, false);
-                        }
-                    }
-                    Specifier::Following {
-                        field,
-                        from,
-                        distance,
-                    } => {
-                        scan_expr(field, hints, classes, false);
-                        if let Some(e) = from {
-                            scan_expr(e, hints, classes, false);
-                        }
-                        scan_expr(distance, hints, classes, false);
-                    }
-                    Specifier::ApparentlyFacing { heading, from } => {
-                        scan_expr(heading, hints, classes, false);
-                        if let Some(e) = from {
-                            scan_expr(e, hints, classes, false);
-                        }
-                    }
-                    Specifier::Using { args, kwargs, .. } => {
-                        for a in args {
-                            scan_expr(a, hints, classes, false);
-                        }
-                        for (_, v) in kwargs {
-                            scan_expr(v, hints, classes, false);
-                        }
+                Specifier::With(prop, value) if prop == "roadDeviation" => {
+                    if let Some(b) = interval_bound(value) {
+                        hints.note_wiggle(b);
                     }
                 }
+                Specifier::With(prop, value) if prop == "visibleDistance" => {
+                    if let Some(d) = const_scalar(value) {
+                        hints.visible_distance =
+                            Some(hints.visible_distance.map_or(d, |m: f64| m.min(d)));
+                    }
+                }
+                Specifier::With(prop, value) if prop == "width" || prop == "height" => {
+                    hints.note_dim_override(value);
+                }
+                Specifier::Facing(Expr::RelativeTo(lhs, _)) => {
+                    if let Some(b) = interval_bound(lhs) {
+                        hints.note_wiggle(b);
+                    }
+                }
+                _ => {}
             }
         }
     }
+    expr.for_each_child(&mut |child| scan_expr(child, hints, classes, false));
 }
 
 /// A constant lower bound of a dimension expression: the value itself
@@ -916,7 +722,11 @@ impl ClassTable {
     fn build(programs: &[&Program]) -> ClassTable {
         let mut classes = HashMap::new();
         for program in programs {
-            collect_classes(&program.statements, &mut classes);
+            for_each_stmt(&program.statements, &mut |stmt| {
+                if let StmtKind::ClassDef(cd) = &stmt.kind {
+                    classes.insert(cd.name.clone(), class_entry(cd));
+                }
+            });
         }
         ClassTable { classes }
     }
@@ -979,31 +789,6 @@ impl ClassTable {
             }
         }
         best.is_finite().then_some(best)
-    }
-}
-
-fn collect_classes(stmts: &[Stmt], out: &mut HashMap<String, (Option<String>, Dim, Dim)>) {
-    for stmt in stmts {
-        match &stmt.kind {
-            StmtKind::ClassDef(cd) => {
-                out.insert(cd.name.clone(), class_entry(cd));
-            }
-            StmtKind::FuncDef(fd) => collect_classes(&fd.body, out),
-            StmtKind::SpecifierDef(sd) => collect_classes(&sd.body, out),
-            StmtKind::If {
-                branches,
-                else_body,
-            } => {
-                for (_, body) in branches {
-                    collect_classes(body, out);
-                }
-                collect_classes(else_body, out);
-            }
-            StmtKind::For { body, .. } | StmtKind::While { body, .. } => {
-                collect_classes(body, out);
-            }
-            _ => {}
-        }
     }
 }
 
@@ -1070,11 +855,7 @@ pub struct PruneDecision {
 /// was enabled or disabled, in `Containment`, `Orientation`, `Size`
 /// order.
 pub fn derive_params_explained(programs: &[&Program]) -> (PruneParams, Vec<PruneDecision>) {
-    let classes = ClassTable::build(programs);
-    let mut hints = PruneHints::default();
-    for program in programs {
-        scan_stmts(&program.statements, &mut hints, &classes);
-    }
+    let hints = hints_from_programs(programs);
     let mut decisions = Vec::new();
     let mut min_radius = 0.0;
     let containment_reason = if hints.has_mutation {
@@ -1090,7 +871,7 @@ pub fn derive_params_explained(programs: &[&Program]) -> (PruneParams, Vec<Prune
          minimum-object-radius bound"
             .to_string()
     } else {
-        match classes.min_physical_half_extent() {
+        match hints.min_class_half_extent {
             Some(bound) => {
                 min_radius = match hints.min_dim_override {
                     Some(v) if v > 0.0 => bound.min(v / 2.0),
@@ -1414,6 +1195,13 @@ mod tests {
         )
         .unwrap();
         assert_eq!(derive_params(&[&prelude, &helper]).min_radius, 0.0);
+        // So is one drawn in a parameter default, which each call runs.
+        let default_helper = scenic_lang::parse(
+            "def park(spot=OrientedPoint on ground):\n    return Object left of spot by 0.5\n\
+             ego = park()\n",
+        )
+        .unwrap();
+        assert_eq!(derive_params(&[&prelude, &default_helper]).min_radius, 0.0);
         let unknown =
             scenic_lang::parse("ego = Object at 0 @ 0, with width Uniform(1, 2)\n").unwrap();
         assert_eq!(derive_params(&[&prelude, &unknown]).min_radius, 0.0);
@@ -1487,7 +1275,7 @@ mod tests {
              Car with visibleDistance 30\n",
         )
         .unwrap();
-        let hints = hints_from_program(&program);
+        let hints = hints_from_programs(&[&program]);
         assert_eq!(hints.object_count, 3);
         let w = hints.heading_wiggle.unwrap();
         assert!((w - 10f64.to_radians()).abs() < 1e-9, "wiggle {w}");
@@ -1499,7 +1287,7 @@ mod tests {
         let program =
             scenic_lang::parse("ego = Car\nCar facing (-5, 5) deg relative to roadDirection\n")
                 .unwrap();
-        let hints = hints_from_program(&program);
+        let hints = hints_from_programs(&[&program]);
         let w = hints.heading_wiggle.unwrap();
         assert!((w - 5f64.to_radians()).abs() < 1e-9);
     }

@@ -39,7 +39,318 @@ impl Stmt {
     pub fn line(&self) -> u32 {
         self.span.start.line
     }
+
+    /// Calls `f` on every expression node of the statement's own
+    /// expressions (see [`Stmt::for_each_child`]), parents first, but not
+    /// on those of the statements nested in it.
+    pub fn walk_exprs<'a>(&'a self, f: &mut impl FnMut(&'a Expr)) {
+        self.for_each_child(&mut |child| {
+            if let StmtChild::Expr(e) = child {
+                e.walk(f);
+            }
+        });
+    }
 }
+
+/// Calls `f` on every statement of `stmts` and of the blocks nested in
+/// them, at every depth, each statement before its nested ones.
+pub fn for_each_stmt<'a>(stmts: &'a [Stmt], f: &mut impl FnMut(&'a Stmt)) {
+    for stmt in stmts {
+        f(stmt);
+        stmt.for_each_child(&mut |child| {
+            if let StmtChild::Block { body, .. } = child {
+                for_each_stmt(body, f);
+            }
+        });
+    }
+}
+
+/// One child of a statement, as [`Stmt::for_each_child`] visits it.
+#[derive(Debug, Clone, Copy)]
+pub enum StmtChild<'a> {
+    /// One of the statement's own expressions: a value, a condition, an
+    /// iterated expression, a parameter default or a class default.
+    Expr(&'a Expr),
+    /// A nested block of statements.
+    Block {
+        /// The block's statements.
+        body: &'a [Stmt],
+        /// Whether the block runs in a frame of its own: a `def` or
+        /// `specifier` body, not an `if`, `for` or `while` body.
+        frame: bool,
+    },
+}
+
+/// One child of a statement, as [`Stmt::for_each_child_mut`] visits it.
+#[derive(Debug)]
+pub enum StmtChildMut<'a> {
+    /// One of the statement's own expressions.
+    Expr(&'a mut Expr),
+    /// A nested block of statements.
+    Block {
+        /// The block's statements.
+        body: &'a mut [Stmt],
+        /// Whether the block runs in a frame of its own.
+        frame: bool,
+    },
+}
+
+/// Defines the child visits of [`Expr`], [`Specifier`] and [`Stmt`] from
+/// one list of each variant's children: invoked once for the shared form
+/// and once, with `mut`, for the mutable form, so the two cannot disagree.
+/// `$arc` reaches through the `Arc`s that share syntax; the mutable form
+/// passes `Arc::make_mut`, which copies shared syntax on write.
+///
+/// Children come in one fixed order, which the compiled engine's lowering
+/// numbers construction sites by: the callee before the arguments, an
+/// `if`-expression's condition before its arms, a statement's expressions
+/// and blocks in source order (each `if` condition before its body).
+macro_rules! child_visits {
+    ($visit:ident, $child:ident, $arc:path $(, $m:ident)?) => {
+        impl Expr {
+            /// Calls `f` on each direct subexpression.
+            pub fn $visit<'a>(&'a $($m)? self, f: &mut impl FnMut(&'a $($m)? Expr)) {
+                match self {
+                    Expr::Number(_)
+                    | Expr::Bool(_)
+                    | Expr::Str(_)
+                    | Expr::None
+                    | Expr::Ident(_)
+                    | Expr::Resolved(_) => {}
+                    Expr::Attribute { obj: e, .. }
+                    | Expr::Neg(e)
+                    | Expr::NotOp(e)
+                    | Expr::Deg(e)
+                    | Expr::Visible(e)
+                    | Expr::BoxPointOf { obj: e, .. } => f(e),
+                    Expr::Vector(a, b)
+                    | Expr::Interval(a, b)
+                    | Expr::RelativeTo(a, b)
+                    | Expr::OffsetBy(a, b)
+                    | Expr::FieldAt(a, b)
+                    | Expr::CanSee(a, b)
+                    | Expr::IsIn(a, b)
+                    | Expr::VisibleFrom(a, b)
+                    | Expr::Index { obj: a, key: b }
+                    | Expr::Binary { lhs: a, rhs: b, .. }
+                    | Expr::Compare { lhs: a, rhs: b, .. } => {
+                        f(a);
+                        f(b);
+                    }
+                    Expr::IfElse {
+                        cond: a,
+                        then: b,
+                        otherwise: c,
+                    }
+                    | Expr::OffsetAlong {
+                        base: a,
+                        direction: b,
+                        offset: c,
+                    } => {
+                        f(a);
+                        f(b);
+                        f(c);
+                    }
+                    Expr::Call { func, args, kwargs } => {
+                        f(func);
+                        for arg in args {
+                            f(arg);
+                        }
+                        for (_, arg) in kwargs {
+                            f(arg);
+                        }
+                    }
+                    Expr::List(items) => {
+                        for item in items {
+                            f(item);
+                        }
+                    }
+                    Expr::Dict(pairs) => {
+                        for (k, v) in pairs {
+                            f(k);
+                            f(v);
+                        }
+                    }
+                    Expr::DistanceTo { from, to: e } | Expr::AngleTo { from, to: e } => {
+                        if let Some(from) = from {
+                            f(from);
+                        }
+                        f(e);
+                    }
+                    Expr::RelativeHeadingOf { of: e, from }
+                    | Expr::ApparentHeadingOf { of: e, from } => {
+                        f(e);
+                        if let Some(from) = from {
+                            f(from);
+                        }
+                    }
+                    Expr::Follow {
+                        field,
+                        from,
+                        distance,
+                    } => {
+                        f(field);
+                        if let Some(from) = from {
+                            f(from);
+                        }
+                        f(distance);
+                    }
+                    Expr::Ctor { specifiers, .. } => {
+                        for spec in specifiers {
+                            spec.$visit(f);
+                        }
+                    }
+                }
+            }
+        }
+
+        impl Specifier {
+            /// Calls `f` on each of the specifier's expressions.
+            pub fn $visit<'a>(&'a $($m)? self, f: &mut impl FnMut(&'a $($m)? Expr)) {
+                match self {
+                    Specifier::With(_, e)
+                    | Specifier::At(e)
+                    | Specifier::OffsetBy(e)
+                    | Specifier::InRegion(e)
+                    | Specifier::Facing(e)
+                    | Specifier::FacingToward(e)
+                    | Specifier::FacingAwayFrom(e) => f(e),
+                    Specifier::OffsetAlong(a, b) => {
+                        f(a);
+                        f(b);
+                    }
+                    Specifier::Beside { target, by, .. } => {
+                        f(target);
+                        if let Some(by) = by {
+                            f(by);
+                        }
+                    }
+                    Specifier::Beyond {
+                        target,
+                        offset,
+                        from,
+                    } => {
+                        f(target);
+                        f(offset);
+                        if let Some(from) = from {
+                            f(from);
+                        }
+                    }
+                    Specifier::Visible(from) => {
+                        if let Some(from) = from {
+                            f(from);
+                        }
+                    }
+                    Specifier::Following {
+                        field,
+                        from,
+                        distance,
+                    } => {
+                        f(field);
+                        if let Some(from) = from {
+                            f(from);
+                        }
+                        f(distance);
+                    }
+                    Specifier::ApparentlyFacing { heading, from } => {
+                        f(heading);
+                        if let Some(from) = from {
+                            f(from);
+                        }
+                    }
+                    Specifier::Using { args, kwargs, .. } => {
+                        for arg in args {
+                            f(arg);
+                        }
+                        for (_, arg) in kwargs {
+                            f(arg);
+                        }
+                    }
+                }
+            }
+        }
+
+        impl Stmt {
+            /// Calls `f` on each of the statement's own expressions and on
+            /// each block nested in it. The mutable form reaches syntax an
+            /// `Arc` shares through `Arc::make_mut`, copying it on write.
+            pub fn $visit<'a>(&'a $($m)? self, f: &mut impl FnMut($child<'a>)) {
+                match &$($m)? self.kind {
+                    StmtKind::Import(_) | StmtKind::Pass | StmtKind::Return(None) => {}
+                    StmtKind::Assign { value: e, .. }
+                    | StmtKind::Store { value: e, .. }
+                    | StmtKind::Expr(e)
+                    | StmtKind::Return(Some(e)) => f($child::Expr(e)),
+                    StmtKind::Param(params) => {
+                        for (_, e) in params {
+                            f($child::Expr(e));
+                        }
+                    }
+                    StmtKind::ClassDef(cd) => {
+                        for (_, e) in &$($m)? cd.properties {
+                            f($child::Expr($arc(e)));
+                        }
+                    }
+                    StmtKind::Require { prob, cond } => {
+                        if let Some(prob) = prob {
+                            f($child::Expr(prob));
+                        }
+                        f($child::Expr($arc(cond)));
+                    }
+                    StmtKind::Mutate { scale, .. } => {
+                        if let Some(scale) = scale {
+                            f($child::Expr(scale));
+                        }
+                    }
+                    StmtKind::FuncDef(fd) => {
+                        let fd = $arc(fd);
+                        for (_, default) in &$($m)? fd.params {
+                            if let Some(default) = default {
+                                f($child::Expr(default));
+                            }
+                        }
+                        f($child::Block {
+                            body: &$($m)? fd.body,
+                            frame: true,
+                        });
+                    }
+                    StmtKind::SpecifierDef(sd) => {
+                        let sd = $arc(sd);
+                        for (_, default) in &$($m)? sd.params {
+                            if let Some(default) = default {
+                                f($child::Expr(default));
+                            }
+                        }
+                        f($child::Block {
+                            body: &$($m)? sd.body,
+                            frame: true,
+                        });
+                    }
+                    StmtKind::If {
+                        branches,
+                        else_body,
+                    } => {
+                        for (cond, body) in branches {
+                            f($child::Expr(cond));
+                            f($child::Block { body, frame: false });
+                        }
+                        f($child::Block {
+                            body: else_body,
+                            frame: false,
+                        });
+                    }
+                    StmtKind::For { iter: e, body, .. } | StmtKind::While { cond: e, body } => {
+                        f($child::Expr(e));
+                        f($child::Block { body, frame: false });
+                    }
+                }
+            }
+        }
+    };
+}
+
+child_visits!(for_each_child, StmtChild, Arc::as_ref);
+child_visits!(for_each_child_mut, StmtChildMut, Arc::make_mut, mut);
 
 /// Statement kinds (Table 5, plus the Python-inherited control flow the
 /// paper mentions in §4: conditionals, loops, functions, methods).
@@ -434,6 +745,13 @@ impl Expr {
             _ => None,
         }
     }
+
+    /// Calls `f` on this expression and on every expression nested in it,
+    /// parents first, in [`Expr::for_each_child`] order.
+    pub fn walk<'a>(&'a self, f: &mut impl FnMut(&'a Expr)) {
+        f(self);
+        self.for_each_child(&mut |child| child.walk(f));
+    }
 }
 
 /// Where a name lives at run time, as the compiled engine's lowering
@@ -567,5 +885,228 @@ impl Specifier {
             Specifier::ApparentlyFacing { .. } => "apparently facing".into(),
             Specifier::Using { name, .. } => format!("using {name}"),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::BTreeSet;
+
+    /// Every statement kind with children, every expression variant the
+    /// parser produces and every specifier, optional `from`/`by` slots
+    /// filled, with the names `a01`, `a02`, … in visit order.
+    const EVERY_SLOT: &str = "\
+import lib
+t = a01
+param p = a02, q = a03
+class C(Base):
+    width: a04
+    height: a05.w
+a06
+require[a07] a08
+mutate m by a09
+def f(x=a10):
+    return a11
+specifier s(y=a12) specifies position:
+    return a13
+if a14:
+    a15
+elif a16:
+    a17
+else:
+    a18
+for i in a19:
+    a20
+while a21:
+    pass
+a22 @ a23
+(a24, a25)
+a26(a27, k=a28)
+a29.attr
+a30[a31]
+[a32, a33, True, None, 'text', 1]
+{a34: a35}
+-a36
+not a37
+a38 + a39
+a40 < a41
+a43 if a42 else a44
+a45 deg
+a46 relative to a47
+a48 offset by a49
+a50 offset along a51 by a52
+a53 at a54
+a55 can see a56
+a57 is in a58
+distance from a59 to a60
+distance to a61
+angle from a62 to a63
+relative heading of a64 from a65
+apparent heading of a66 from a67
+visible a68
+a69 visible from a70
+follow a71 from a72 for a73
+front of a74
+Obj with w a75, at a76, offset by a77, offset along a78 by a79, left of a80 by a81, \
+beyond a82 by a83 from a84, visible from a85, in a86, following a87 from a88 for a89, \
+facing a90, facing toward a91, facing away from a92, apparently facing a93 from a94, \
+using u(a95, k=a96)
+";
+
+    /// The variant's name: an exhaustive match, so a new variant does not
+    /// compile until this test covers it.
+    fn expr_variant(e: &Expr) -> &'static str {
+        match e {
+            Expr::Number(_) => "Number",
+            Expr::Bool(_) => "Bool",
+            Expr::Str(_) => "Str",
+            Expr::None => "None",
+            Expr::Ident(_) => "Ident",
+            Expr::Resolved(_) => "Resolved",
+            Expr::Vector(..) => "Vector",
+            Expr::Interval(..) => "Interval",
+            Expr::Call { .. } => "Call",
+            Expr::Attribute { .. } => "Attribute",
+            Expr::Index { .. } => "Index",
+            Expr::List(_) => "List",
+            Expr::Dict(_) => "Dict",
+            Expr::Neg(_) => "Neg",
+            Expr::NotOp(_) => "NotOp",
+            Expr::Binary { .. } => "Binary",
+            Expr::Compare { .. } => "Compare",
+            Expr::IfElse { .. } => "IfElse",
+            Expr::Deg(_) => "Deg",
+            Expr::RelativeTo(..) => "RelativeTo",
+            Expr::OffsetBy(..) => "OffsetBy",
+            Expr::OffsetAlong { .. } => "OffsetAlong",
+            Expr::FieldAt(..) => "FieldAt",
+            Expr::CanSee(..) => "CanSee",
+            Expr::IsIn(..) => "IsIn",
+            Expr::DistanceTo { .. } => "DistanceTo",
+            Expr::AngleTo { .. } => "AngleTo",
+            Expr::RelativeHeadingOf { .. } => "RelativeHeadingOf",
+            Expr::ApparentHeadingOf { .. } => "ApparentHeadingOf",
+            Expr::Visible(_) => "Visible",
+            Expr::VisibleFrom(..) => "VisibleFrom",
+            Expr::Follow { .. } => "Follow",
+            Expr::BoxPointOf { .. } => "BoxPointOf",
+            Expr::Ctor { .. } => "Ctor",
+        }
+    }
+
+    fn specifier_variant(s: &Specifier) -> &'static str {
+        match s {
+            Specifier::With(..) => "With",
+            Specifier::At(_) => "At",
+            Specifier::OffsetBy(_) => "OffsetBy",
+            Specifier::OffsetAlong(..) => "OffsetAlong",
+            Specifier::Beside { .. } => "Beside",
+            Specifier::Beyond { .. } => "Beyond",
+            Specifier::Visible(_) => "Visible",
+            Specifier::InRegion(_) => "InRegion",
+            Specifier::Following { .. } => "Following",
+            Specifier::Facing(_) => "Facing",
+            Specifier::FacingToward(_) => "FacingToward",
+            Specifier::FacingAwayFrom(_) => "FacingAwayFrom",
+            Specifier::ApparentlyFacing { .. } => "ApparentlyFacing",
+            Specifier::Using { .. } => "Using",
+        }
+    }
+
+    /// What one recursive visit saw, in order.
+    #[derive(Debug, Default, PartialEq)]
+    struct Seen {
+        names: Vec<String>,
+        /// Each nested block's `frame` flag.
+        blocks: Vec<bool>,
+        variants: BTreeSet<&'static str>,
+        specifiers: BTreeSet<&'static str>,
+    }
+
+    impl Seen {
+        fn node(&mut self, e: &Expr) {
+            self.variants.insert(expr_variant(e));
+            match e {
+                Expr::Ident(name) => self.names.push(name.clone()),
+                Expr::Ctor { specifiers, .. } => {
+                    self.specifiers
+                        .extend(specifiers.iter().map(specifier_variant));
+                }
+                _ => {}
+            }
+        }
+
+        fn block(&mut self, body: &[Stmt]) {
+            for stmt in body {
+                stmt.for_each_child(&mut |child| match child {
+                    StmtChild::Expr(e) => self.expr(e),
+                    StmtChild::Block { body, frame } => {
+                        self.blocks.push(frame);
+                        self.block(body);
+                    }
+                });
+            }
+        }
+
+        fn expr(&mut self, e: &Expr) {
+            self.node(e);
+            e.for_each_child(&mut |child| self.expr(child));
+        }
+
+        /// The mutable visit, renaming each identifier to upper case.
+        fn block_mut(&mut self, body: &mut [Stmt]) {
+            for stmt in body {
+                stmt.for_each_child_mut(&mut |child| match child {
+                    StmtChildMut::Expr(e) => self.expr_mut(e),
+                    StmtChildMut::Block { body, frame } => {
+                        self.blocks.push(frame);
+                        self.block_mut(body);
+                    }
+                });
+            }
+        }
+
+        fn expr_mut(&mut self, e: &mut Expr) {
+            self.node(e);
+            if let Expr::Ident(name) = e {
+                *name = name.to_uppercase();
+            }
+            e.for_each_child_mut(&mut |child| self.expr_mut(child));
+        }
+    }
+
+    #[test]
+    fn child_visits_reach_every_slot_in_one_order() {
+        let mut program = crate::parse(EVERY_SLOT).unwrap();
+        let shared = program.clone();
+        let mut seen = Seen::default();
+        seen.block(&program.statements);
+
+        let names: Vec<String> = (1..=96).map(|i| format!("a{i:02}")).collect();
+        assert_eq!(seen.names, names);
+        // The `def` and `specifier` bodies open frames; `if`/`elif`/
+        // `else`, `for` and `while` bodies do not.
+        assert_eq!(seen.blocks, [true, true, false, false, false, false, false]);
+        // Every expression variant but `Resolved`, which only lowering
+        // writes, and every specifier.
+        assert_eq!(seen.variants.len(), 33, "{:?}", seen.variants);
+        assert!(!seen.variants.contains("Resolved"));
+        assert_eq!(seen.specifiers.len(), 14, "{:?}", seen.specifiers);
+
+        // The mutable visit sees the same slots in the same order, and
+        // its writes land in each of them, shared syntax (class defaults,
+        // `require` conditions, `def` and `specifier` bodies) included.
+        let mut seen_mut = Seen::default();
+        seen_mut.block_mut(&mut program.statements);
+        assert_eq!(seen_mut, seen);
+        let mut renamed = Seen::default();
+        renamed.block(&program.statements);
+        let upper: Vec<String> = names.iter().map(|n| n.to_uppercase()).collect();
+        assert_eq!(renamed.names, upper);
+        // Writes copied the shared syntax rather than changing it.
+        let mut original = Seen::default();
+        original.block(&shared.statements);
+        assert_eq!(original.names, names);
     }
 }

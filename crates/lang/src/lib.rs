@@ -22,8 +22,8 @@ pub mod printer;
 pub mod token;
 
 pub use ast::{
-    Addr, BinOp, BoxPoint, ClassDef, CmpOp, CtorSite, Expr, FuncDef, Program, Resolved, Side,
-    Specifier, SpecifierDef, Stmt, StmtKind,
+    for_each_stmt, Addr, BinOp, BoxPoint, ClassDef, CmpOp, CtorSite, Expr, FuncDef, Program,
+    Resolved, Side, Specifier, SpecifierDef, Stmt, StmtChild, StmtChildMut, StmtKind,
 };
 pub use error::{ParseError, ParseResult};
 pub use lexer::lex;

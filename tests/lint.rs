@@ -51,6 +51,7 @@ fn codes_in(text: &str) -> Vec<String> {
 
 const UNSAT: &str = "tests/fixtures/unsat_requirement.scenic";
 const UNUSED: &str = "tests/fixtures/unused_shadow.scenic";
+const USING: &str = "tests/fixtures/user_specifier.scenic";
 
 #[test]
 fn unsat_requirement_fixture_is_e101_with_exact_span() {
@@ -108,6 +109,20 @@ warning[W002]: shadowed-binding: `limit` is rebound here, but the binding at lin
         "{}",
         stderr(&out)
     );
+}
+
+#[test]
+fn a_specifier_applied_with_using_is_used() {
+    let parked_row = write_scenario("parked_row.scenic", scenic::gta::scenarios::PARKED_ROW);
+    for (file, world) in [
+        (USING, "bare"),
+        (USING, "gta"),
+        (parked_row.to_str().unwrap(), "gta"),
+    ] {
+        let out = run(&["lint", file, "--world", world, "--deny", "warnings"]);
+        assert_eq!(out.status.code(), Some(0), "{file}: {}", stdout(&out));
+        assert!(!stdout(&out).contains("W001"), "{file}: {}", stdout(&out));
+    }
 }
 
 #[test]

@@ -11,7 +11,7 @@
 //! - the per-pruner counters in `SamplerStats` merge associatively and
 //!   are invariant in the worker count.
 
-use scenic::core::prune::{PruneParams, Pruner};
+use scenic::core::prune::{PruneDecision, PruneParams, Pruner};
 use scenic::core::sampler::{Sampler, SamplerStats};
 use scenic::core::{compile_with_world, Module, NativeValue, ScenarioCache, World};
 use scenic::geom::field::FieldCell;
@@ -237,4 +237,82 @@ fn prune_plan_is_cached_and_shared_by_cache_hits() {
     // Clones (as handed to batch workers) share the plan too.
     let c = (*a).clone();
     assert!(Arc::ptr_eq(&plan_a, &c.prune_plan()));
+}
+
+/// What the §5.2 derivation takes from each bundled scenario, pinned:
+/// `pruning_on_equals_pruning_off_for_every_bundled_scenario` catches an
+/// unsound parameter, this catches lost pruning. The cases reach every
+/// outcome: δ from `gta_intersection`'s `facing (75, 105) deg relative to
+/// roadDirection`, containment at 0.1 m on both mars scenarios, and
+/// `badly_parked`'s helper drawn `on` a region.
+#[test]
+fn derived_prune_params_are_pinned_for_every_bundled_scenario() {
+    let gta = scenic::gta::World::generate(scenic::gta::MapConfig::default())
+        .core()
+        .clone();
+    let mars = scenic::mars::world();
+    let no_dims = "no physical class with statically known dimensions";
+    let helper = "a helper point is drawn `on` a region outside a class `position:` default; \
+                  its draw is not a physical object's final position, so erosion would be unsound";
+    let clearance = "every physical object keeps at least 0.1 m of clearance \
+                     (smallest class half-extent, lowered by constant dimension overrides)";
+    // (scenario, world, min_radius, heading_tolerance, containment reason)
+    let cases = [
+        ("badly_parked", &gta, 0.0, 0.0, helper),
+        ("gta_intersection", &gta, 0.0, 105f64.to_radians(), no_dims),
+        ("gta_oncoming", &gta, 0.0, 0.0, no_dims),
+        ("simplest", &gta, 0.0, 0.0, no_dims),
+        ("two_cars", &gta, 0.0, 0.0, no_dims),
+        (
+            "mars_bottleneck",
+            &mars,
+            0.1,
+            120f64.to_radians(),
+            clearance,
+        ),
+        ("mars_formation", &mars, 0.1, 0.0, clearance),
+    ];
+    for (name, world, min_radius, heading_tolerance, containment) in cases {
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("scenarios")
+            .join(format!("{name}.scenic"));
+        let source = std::fs::read_to_string(&path).expect("bundled scenario");
+        let scenario = compile_with_world(&source, world).expect("bundled scenario compiles");
+        let p = scenario.derived_prune_params();
+        assert_eq!(
+            (
+                p.min_radius,
+                p.relative_heading,
+                p.max_distance,
+                p.heading_tolerance,
+                p.min_width
+            ),
+            (min_radius, None, 50.0, heading_tolerance, None),
+            "{name}"
+        );
+        let decision = |pruner, enabled, reason: &str| PruneDecision {
+            pruner,
+            enabled,
+            reason: reason.to_string(),
+        };
+        assert_eq!(
+            scenario.derived_prune_decisions(),
+            [
+                decision(Pruner::Containment, min_radius > 0.0, containment),
+                decision(
+                    Pruner::Orientation,
+                    false,
+                    "no syntactic analysis soundly bounds relative headings; \
+                     pass `--heading LO,HI` to prune-report to enable it"
+                ),
+                decision(
+                    Pruner::Size,
+                    false,
+                    "no syntactic analysis soundly bounds the configuration's minimum width; \
+                     pass `--min-width W` to prune-report to enable it"
+                ),
+            ],
+            "{name}"
+        );
+    }
 }
