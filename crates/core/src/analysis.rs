@@ -19,9 +19,13 @@
 //!    positions never meet the workspace would reject every sample
 //!    (`W103`).
 //!
-//! The pass also surfaces each [`crate::prune::derive_params`]
-//! enable/disable decision as an `I2xx` note, so pruning behavior is
-//! self-explaining.
+//! The pass also surfaces each enable/disable decision of the pruning
+//! derivation ([`crate::Scenario::derived_prune_decisions`]) as an
+//! `I2xx` note, so pruning behavior is self-explaining.
+//!
+//! Which classes are physical, which defaults are known, which
+//! properties a `using` sets and whether any source `mutate`s all come
+//! from the static-facts module (`facts.rs`).
 //!
 //! Everything here is advisory: the tree-walking sampler is untouched
 //! and abstract evaluation errs on the side of `Unknown` (a diagnostic
@@ -29,6 +33,7 @@
 //! warnings but never false ones).
 
 use crate::diag::{Code, Diagnostic};
+use crate::facts::Facts;
 use crate::interp::Scenario;
 use crate::prune;
 use crate::world::NativeValue;
@@ -307,90 +312,6 @@ impl AbsValue {
 }
 
 // ---------------------------------------------------------------------
-// Class table
-// ---------------------------------------------------------------------
-
-struct ClassInfo {
-    superclass: Option<String>,
-    /// `property: defaultExpr` pairs of this class only.
-    properties: Vec<(String, std::sync::Arc<Expr>)>,
-}
-
-/// Classes across prelude + user program + module libraries, with the
-/// interpreter's superclass rule (`Object` default, `Point` root).
-struct ClassTable {
-    classes: HashMap<String, ClassInfo>,
-}
-
-impl ClassTable {
-    fn build(programs: &[&Program]) -> Self {
-        let mut classes = HashMap::new();
-        for program in programs {
-            for stmt in &program.statements {
-                if let StmtKind::ClassDef(cd) = &stmt.kind {
-                    let superclass = match &cd.superclass {
-                        Some(s) => Some(s.clone()),
-                        None if cd.name == "Point" => None,
-                        None => Some("Object".to_string()),
-                    };
-                    classes.insert(
-                        cd.name.clone(),
-                        ClassInfo {
-                            superclass,
-                            properties: cd.properties.clone(),
-                        },
-                    );
-                }
-            }
-        }
-        ClassTable { classes }
-    }
-
-    fn is_known(&self, name: &str) -> bool {
-        self.classes.contains_key(name)
-    }
-
-    /// Physical classes inherit from `Object` (Table 2: only `Object`
-    /// and its subclasses have extent and the containment requirement).
-    fn is_physical(&self, name: &str) -> bool {
-        let mut current = Some(name.to_string());
-        let mut fuel = 32;
-        while let Some(c) = current {
-            if c == "Object" {
-                return true;
-            }
-            fuel -= 1;
-            if fuel == 0 {
-                return false;
-            }
-            current = self.classes.get(&c).and_then(|i| i.superclass.clone());
-        }
-        false
-    }
-
-    /// The default expression for `prop`, walking the inheritance chain.
-    fn default_expr(&self, class: &str, prop: &str) -> Option<&Expr> {
-        let mut current = Some(class.to_string());
-        let mut fuel = 32;
-        while let Some(c) = current {
-            if let Some(info) = self.classes.get(&c) {
-                if let Some((_, e)) = info.properties.iter().find(|(p, _)| p == prop) {
-                    return Some(e);
-                }
-                fuel -= 1;
-                if fuel == 0 {
-                    return Option::None;
-                }
-                current = info.superclass.clone();
-            } else {
-                return Option::None;
-            }
-        }
-        Option::None
-    }
-}
-
-// ---------------------------------------------------------------------
 // Entry point
 // ---------------------------------------------------------------------
 
@@ -410,12 +331,11 @@ impl ClassTable {
 /// # Ok::<(), scenic_core::ScenicError>(())
 /// ```
 pub fn analyze(scenario: &Scenario) -> Vec<Diagnostic> {
-    let programs = scenario.all_programs();
-    let classes = ClassTable::build(&programs);
-    let (params, decisions) = prune::derive_params_explained(&programs);
+    let facts = Facts::of(scenario);
+    let (params, decisions) = prune::derive_params_explained(&facts);
     let mut diags = Vec::new();
 
-    let mut analyzer = Analyzer::new(scenario, &classes, params.max_distance);
+    let mut analyzer = Analyzer::new(scenario, &facts, params.max_distance);
     analyzer.check_defs(&scenario.program, &mut diags);
     analyzer.run(&scenario.program, &mut diags);
 
@@ -461,41 +381,24 @@ fn collect_uses(stmts: &[Stmt], uses: &mut HashSet<String>) {
 
 struct Analyzer<'a> {
     scenario: &'a Scenario,
-    classes: &'a ClassTable,
+    /// The classes, specifiers and `mutate`s of every source. Any
+    /// `mutate`: post-sampling noise is unbounded (`Normal`), so object
+    /// positions/headings are unknowable and `W103` would be unsound.
+    facts: &'a Facts<'a>,
     env: HashMap<String, AbsValue>,
-    /// `specifier` definitions by name → the properties they specify
-    /// (so `using` can widen exactly those).
-    user_specifiers: HashMap<String, Vec<String>>,
-    /// Any `mutate` in the program: post-sampling noise is unbounded
-    /// (`Normal`), so object positions/headings are unknowable and
-    /// `W103` would be unsound.
-    has_mutation: bool,
     /// The derived maximum-distance pruning bound (for `I203`).
     derived_max_distance: f64,
 }
 
 impl<'a> Analyzer<'a> {
-    fn new(scenario: &'a Scenario, classes: &'a ClassTable, derived_max_distance: f64) -> Self {
-        let programs = scenario.all_programs();
-        let has_mutation = programs.iter().any(|p| stmts_contain_mutate(&p.statements));
+    fn new(scenario: &'a Scenario, facts: &'a Facts<'a>, derived_max_distance: f64) -> Self {
         let mut analyzer = Analyzer {
             scenario,
-            classes,
+            facts,
             env: HashMap::new(),
-            user_specifiers: HashMap::new(),
-            has_mutation,
             derived_max_distance,
         };
         analyzer.install_natives();
-        for program in &programs {
-            for stmt in &program.statements {
-                if let StmtKind::SpecifierDef(sd) = &stmt.kind {
-                    let mut props = sd.specifies.clone();
-                    props.extend(sd.optional.iter().cloned());
-                    analyzer.user_specifiers.insert(sd.name.clone(), props);
-                }
-            }
-        }
         analyzer
     }
 
@@ -536,7 +439,7 @@ impl<'a> Analyzer<'a> {
         for b in crate::builtins::names() {
             ambient.insert(b, "built-in function");
         }
-        for name in self.classes.classes.keys() {
+        for name in self.facts.library_classes() {
             ambient.insert(name, "library class");
         }
         for module in self.scenario.world.modules.values() {
@@ -707,7 +610,7 @@ impl<'a> Analyzer<'a> {
     }
 
     fn check_workspace(&self, obj: &AbsObject, span: Span, diags: &mut Vec<Diagnostic>) {
-        if !obj.physical || self.has_mutation {
+        if !obj.physical || self.facts.has_mutation {
             return;
         }
         let Some(ws) = self.scenario.world.workspace.aabb() else {
@@ -1118,17 +1021,15 @@ impl<'a> Analyzer<'a> {
     // -----------------------------------------------------------------
 
     fn eval_ctor(&mut self, class: &str, specifiers: &[Specifier]) -> AbsValue {
-        let physical = self.classes.is_physical(class);
-        let known = self.classes.is_known(class);
         let mut obj = AbsObject {
             class: class.to_string(),
-            physical,
-            position: self.class_default_box(class, known),
+            physical: self.facts.must_be_physical(class),
+            position: self.class_default_box(class),
             heading: Interval::top(),
-            width: self.class_default_dim(class, "width", known),
-            height: self.class_default_dim(class, "height", known),
+            width: self.class_default_dim(class, "width"),
+            height: self.class_default_dim(class, "height"),
         };
-        if self.has_mutation {
+        if self.facts.has_mutation {
             obj.position = BoxAbs::top();
         }
         for spec in specifiers {
@@ -1139,25 +1040,16 @@ impl<'a> Analyzer<'a> {
 
     /// The abstract position of a class's `position:` default (e.g.
     /// gtaLib's `Point on road` → the road's bounding box).
-    fn class_default_box(&mut self, class: &str, known: bool) -> BoxAbs {
-        if !known {
-            return BoxAbs::top();
-        }
-        match self.classes.default_expr(class, "position").cloned() {
-            Some(e) => match self.eval(&e).as_box() {
-                Some(b) => b,
-                Option::None => BoxAbs::top(),
-            },
+    fn class_default_box(&mut self, class: &str) -> BoxAbs {
+        match self.facts.known_default(class, "position") {
+            Some(e) => self.eval(e).as_box().unwrap_or_else(BoxAbs::top),
             Option::None => BoxAbs::top(),
         }
     }
 
-    fn class_default_dim(&mut self, class: &str, prop: &str, known: bool) -> Interval {
-        if !known {
-            return Interval::top();
-        }
-        match self.classes.default_expr(class, prop).cloned() {
-            Some(e) => self.eval(&e).as_num().unwrap_or_else(Interval::top),
+    fn class_default_dim(&mut self, class: &str, prop: &str) -> Interval {
+        match self.facts.known_default(class, prop) {
+            Some(e) => self.eval(e).as_num().unwrap_or_else(Interval::top),
             Option::None => Interval::top(),
         }
     }
@@ -1255,16 +1147,12 @@ impl<'a> Analyzer<'a> {
             Using { name, .. } => {
                 // Widen exactly the properties the user specifier can
                 // set (all of them if it is unknown).
-                let props = self.user_specifiers.get(name).cloned().unwrap_or_else(|| {
-                    vec![
-                        "position".to_string(),
-                        "heading".to_string(),
-                        "width".to_string(),
-                        "height".to_string(),
-                    ]
-                });
+                let props = self
+                    .facts
+                    .specifier_properties(name)
+                    .unwrap_or(&["position", "heading", "width", "height"]);
                 for p in props {
-                    match p.as_str() {
+                    match *p {
                         "position" => obj.position = BoxAbs::top(),
                         "heading" => obj.heading = Interval::top(),
                         "width" => obj.width = Interval::top(),
@@ -1275,14 +1163,6 @@ impl<'a> Analyzer<'a> {
             }
         }
     }
-}
-
-pub(crate) fn stmts_contain_mutate(stmts: &[Stmt]) -> bool {
-    let mut found = false;
-    for_each_stmt(stmts, &mut |stmt| {
-        found |= matches!(stmt.kind, StmtKind::Mutate { .. });
-    });
-    found
 }
 
 #[cfg(test)]

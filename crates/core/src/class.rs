@@ -62,18 +62,6 @@ impl RuntimeClass {
         }))
     }
 
-    /// Whether this class descends from `name` (inclusive).
-    pub fn descends_from(self: &Rc<Self>, name: &str) -> bool {
-        let mut cur = Some(Rc::clone(self));
-        while let Some(c) = cur {
-            if c.name == name {
-                return true;
-            }
-            cur = c.superclass.clone();
-        }
-        false
-    }
-
     /// The *most-derived* default expression for each property across
     /// the hierarchy, in stable order (base-class properties first, so
     /// `position` precedes user-added ones).
@@ -178,8 +166,7 @@ mod tests {
         assert_eq!(&*car.lineage(), ["Car".to_string(), "Object".to_string()]);
         // Memoized: every call shares one list.
         assert!(Rc::ptr_eq(&car.lineage(), &car.lineage()));
-        assert!(car.descends_from("Object"));
-        assert!(!base.descends_from("Car"));
+        assert_eq!(&*base.lineage(), ["Object".to_string()]);
     }
 
     #[test]

@@ -398,7 +398,7 @@ impl CompiledProgram {
                 _ => {}
             }
         });
-        for program in scenario.all_programs() {
+        for (_, program) in scenario.sources() {
             for_each_stmt(&program.statements, &mut |stmt| {
                 if let StmtKind::ClassDef(_) = stmt.kind {
                     stmt.walk_exprs(&mut from_expr);

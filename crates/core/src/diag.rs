@@ -73,9 +73,9 @@ pub enum Code {
     ObjectOutsideWorkspace,
     /// W104 — a requirement is statically always true.
     VacuousRequirement,
-    /// I201 — a §5.2 pruner was disabled by `derive_params`.
+    /// I201 — a §5.2 pruner was disabled by the parameter derivation.
     PrunerDisabled,
-    /// I202 — a §5.2 pruner was enabled by `derive_params`.
+    /// I202 — a §5.2 pruner was enabled by the parameter derivation.
     PrunerEnabled,
     /// I203 — a requirement implies a tighter pruning bound than the
     /// derivation could prove; `prune-report` flags would exploit it.

@@ -8,8 +8,9 @@
 //! statement, and each physical object's default requirements right
 //! after the object is constructed, wherever that gives the same answer
 //! as the check at termination (Fig. 25). This module decides, once per
-//! [`crate::Scenario`], where that holds; the runtime half (the RNG
-//! snapshot and the per-object checks) lives in [`crate::interp`].
+//! [`crate::Scenario`] and from its static facts (`facts.rs`), where
+//! that holds; the runtime half (the RNG snapshot and the per-object
+//! checks) lives in [`crate::interp`].
 //!
 //! A top-level hard `require` is decided at its statement when:
 //!
@@ -85,10 +86,10 @@
 //! reach in the rest of its construction becomes a rejection on the
 //! compiled engine — the contract early rejection already has.
 
-use crate::analysis::stmts_contain_mutate;
 use crate::class::RuntimeClass;
 use crate::compile::{assigns_in_defs, collect_expr_idents, defined_names, CachedDefault};
 use crate::env::{lookup, EnvRef};
+use crate::facts::Facts;
 use crate::interp::{ActionShape, Scenario};
 use crate::specifier::ResolvedOrder;
 use crate::value::{dict_get, Value};
@@ -112,8 +113,8 @@ pub(crate) struct EarlyPlan {
 impl EarlyPlan {
     /// Derives the plan from the scenario's parsed sources.
     pub(crate) fn build(scenario: &Scenario) -> EarlyPlan {
-        let programs = scenario.all_programs();
-        if programs.iter().any(|p| stmts_contain_mutate(&p.statements)) {
+        let facts = Facts::of(scenario);
+        if facts.has_mutation {
             return EarlyPlan::default();
         }
         // Names a candidate can rebind at any point, and the names an
@@ -122,7 +123,7 @@ impl EarlyPlan {
         let mut unstable = HashSet::new();
         let mut uncallable = HashSet::from(["print".to_string()]);
         let mut ego_assignments = 0;
-        for program in &programs {
+        for program in &facts.programs {
             assigns_in_defs(&program.statements, &mut unstable);
             defined_names(&program.statements, &mut uncallable);
             for_each_stmt(&program.statements, &mut |stmt| match &stmt.kind {

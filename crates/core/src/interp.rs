@@ -14,6 +14,7 @@ use crate::class::{self_dependencies, RuntimeClass, PRELUDE};
 use crate::early::{EarlyPlan, VisibilityGuard};
 use crate::env::{assign, clear, define, lookup, set_slot, slot, EnvRef, Scope};
 use crate::error::{Rejection, RunResult, ScenicError};
+use crate::facts::{Facts, Origin};
 use crate::object::{oriented_point, Layout, ObjData, ObjRef, PropName};
 use crate::prune::{self, PruneParams, PrunePlan};
 use crate::scene::{PropValue, Scene, SceneObject};
@@ -196,11 +197,15 @@ impl Scenario {
         self.generate_checked(rng, plan, crate::compile::Engine::Ast, self.early_plan())
     }
 
-    /// The [`PruneParams`] the §5.2 prepare step derives from this
-    /// scenario's parsed sources (user program, prelude, and module
-    /// libraries) — see [`prune::derive_params`] for the rules.
+    /// The sound [`PruneParams`] the §5.2 prepare step derives from this
+    /// scenario's parsed sources: the smallest in-radius of any class
+    /// that may be physical, lowered by constant `with width`/`height`
+    /// overrides, unless a `mutate`, a non-constant dimension or a helper
+    /// point drawn `on` a region defeats it; the largest
+    /// `roadDeviation`-style wiggle as δ; the smallest explicit
+    /// `visibleDistance` as M. Orientation and size pruning stay off.
     pub fn derived_prune_params(&self) -> PruneParams {
-        prune::derive_params(&self.all_programs())
+        prune::derive_params_explained(&Facts::of(self)).0
     }
 
     /// The per-pruner enable/disable decisions behind
@@ -208,19 +213,23 @@ impl Scenario {
     /// source of the `I2xx` diagnostics shown by `scenic lint` and
     /// `scenic sample --stats`.
     pub fn derived_prune_decisions(&self) -> Vec<prune::PruneDecision> {
-        prune::derive_params_explained(&self.all_programs()).1
+        prune::derive_params_explained(&Facts::of(self)).1
     }
 
-    /// Every parsed source of this scenario, prelude first, then the
-    /// user program, then the module libraries in name order.
-    pub(crate) fn all_programs(&self) -> Vec<&Program> {
-        let mut programs: Vec<&Program> = vec![&self.prelude, &self.program];
+    /// Every parsed source of this scenario with its origin, prelude
+    /// first, then the user program, then the module libraries in name
+    /// order.
+    pub(crate) fn sources(&self) -> Vec<(Origin, &Program)> {
+        let mut sources = vec![
+            (Origin::Library, &*self.prelude),
+            (Origin::User, &*self.program),
+        ];
         let mut names: Vec<&String> = self.module_programs.keys().collect();
         names.sort();
         for name in names {
-            programs.push(&self.module_programs[name]);
+            sources.push((Origin::Library, &self.module_programs[name]));
         }
-        programs
+        sources
     }
 
     /// The derived-parameter prune plan, built once per compiled

@@ -45,6 +45,7 @@ pub mod diag;
 mod early;
 pub mod env;
 pub mod error;
+mod facts;
 pub mod interp;
 pub mod object;
 pub mod pool;

@@ -55,11 +55,22 @@ impl Stmt {
 /// Calls `f` on every statement of `stmts` and of the blocks nested in
 /// them, at every depth, each statement before its nested ones.
 pub fn for_each_stmt<'a>(stmts: &'a [Stmt], f: &mut impl FnMut(&'a Stmt)) {
+    for_each_stmt_framed(stmts, false, &mut |stmt, _| f(stmt));
+}
+
+/// [`for_each_stmt`], also telling `f` whether the statement sits in a
+/// `def` or `specifier` body at any depth (`in_frame` says whether
+/// `stmts` itself does).
+pub fn for_each_stmt_framed<'a>(
+    stmts: &'a [Stmt],
+    in_frame: bool,
+    f: &mut impl FnMut(&'a Stmt, bool),
+) {
     for stmt in stmts {
-        f(stmt);
+        f(stmt, in_frame);
         stmt.for_each_child(&mut |child| {
-            if let StmtChild::Block { body, .. } = child {
-                for_each_stmt(body, f);
+            if let StmtChild::Block { body, frame } = child {
+                for_each_stmt_framed(body, in_frame || frame, f);
             }
         });
     }

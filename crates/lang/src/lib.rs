@@ -22,8 +22,9 @@ pub mod printer;
 pub mod token;
 
 pub use ast::{
-    for_each_stmt, Addr, BinOp, BoxPoint, ClassDef, CmpOp, CtorSite, Expr, FuncDef, Program,
-    Resolved, Side, Specifier, SpecifierDef, Stmt, StmtChild, StmtChildMut, StmtKind,
+    for_each_stmt, for_each_stmt_framed, Addr, BinOp, BoxPoint, ClassDef, CmpOp, CtorSite, Expr,
+    FuncDef, Program, Resolved, Side, Specifier, SpecifierDef, Stmt, StmtChild, StmtChildMut,
+    StmtKind,
 };
 pub use error::{ParseError, ParseResult};
 pub use lexer::lex;

@@ -337,15 +337,38 @@ fn batch_digests_are_pinned_and_thread_count_invariant() {
 // could never be accepted, so for every bundled scenario the accepted
 // scenes — and therefore the pinned digests above — are byte-identical
 // with pruning on or off. If this test fails, a prune guard rejected a
-// viable candidate (the derivation in `prune::derive_params` produced
-// unsound parameters) and pruning changed *which* scenes are sampled,
-// not just how fast.
+// viable candidate (the derivation behind `Scenario::derived_prune_params`
+// produced unsound parameters) and pruning changed *which* scenes are
+// sampled, not just how fast.
 // ---------------------------------------------------------------------
+
+/// Fixtures where the derivation must take every class a name can mean
+/// into account: a thinner `Pipe` than the library's, a marker named
+/// like a physical class, and a thin class whose superclass is a
+/// variable. Each accepts mostly scenes whose guarded draw lies near the
+/// workspace boundary.
+const PRUNE_FIXTURES: &[(&str, &str)] = &[
+    ("thin_pipe.scenic", "mars"),
+    ("marker_named_twice.scenic", "mars"),
+    ("variable_superclass.scenic", "mars"),
+];
 
 #[test]
 fn pruning_on_equals_pruning_off_for_every_bundled_scenario() {
-    for (name, world, _) in BUNDLED_BATCH_DIGESTS {
-        let scenario = compile_bundled(name, world);
+    let fixtures = PRUNE_FIXTURES.iter().map(|(name, world)| {
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("tests/fixtures")
+            .join(name);
+        let source = std::fs::read_to_string(&path).expect("fixture");
+        (
+            name,
+            compile_with_world(&source, bundled_world(world)).unwrap(),
+        )
+    });
+    let bundled = BUNDLED_BATCH_DIGESTS
+        .iter()
+        .map(|(name, world, _)| (name, compile_bundled(name, world)));
+    for (name, scenario) in bundled.chain(fixtures) {
         let plain = Sampler::new(&scenario)
             .with_seed(7)
             .sample_batch(3, 2)

@@ -52,6 +52,7 @@ fn codes_in(text: &str) -> Vec<String> {
 const UNSAT: &str = "tests/fixtures/unsat_requirement.scenic";
 const UNUSED: &str = "tests/fixtures/unused_shadow.scenic";
 const USING: &str = "tests/fixtures/user_specifier.scenic";
+const OWN_CLASS: &str = "tests/fixtures/own_class.scenic";
 
 #[test]
 fn unsat_requirement_fixture_is_e101_with_exact_span() {
@@ -157,6 +158,7 @@ fn all_bundled_scenarios_lint_clean() {
         ("scenarios/mars_formation.scenic", "mars"),
         ("scenarios/simplest.scenic", "gta"),
         ("scenarios/two_cars.scenic", "gta"),
+        (OWN_CLASS, "bare"),
     ] {
         let out = run(&["lint", file, "--world", world, "--deny", "warnings"]);
         assert_eq!(
@@ -165,6 +167,47 @@ fn all_bundled_scenarios_lint_clean() {
             "{file} is not lint-clean:\n{}",
             stdout(&out)
         );
+    }
+}
+
+/// A class name means each of its definitions: a program's own class is
+/// no library class (no W002), a name defined twice has no known
+/// defaults (no E101 from the library `Goal`'s position), a marker named
+/// like a physical class turns containment pruning off (I201), a class
+/// whose superclass is a variable keeps it on (I202), and a class
+/// defined in a branch is a class (W103).
+#[test]
+fn class_fixtures_draw_exactly_the_codes_their_definitions_imply() {
+    for (file, world, codes) in [
+        (OWN_CLASS, "bare", &["I202", "I201", "I201"][..]),
+        (
+            "tests/fixtures/shadowed_goal.scenic",
+            "mars",
+            &["W002", "I202", "I201", "I201"],
+        ),
+        (
+            "tests/fixtures/thin_pipe.scenic",
+            "mars",
+            &["W002", "I202", "I201", "I201"],
+        ),
+        (
+            "tests/fixtures/marker_named_twice.scenic",
+            "mars",
+            &["I201", "I201", "I201"],
+        ),
+        (
+            "tests/fixtures/variable_superclass.scenic",
+            "mars",
+            &["I202", "I201", "I201"],
+        ),
+        (
+            "tests/fixtures/class_in_branch.scenic",
+            "mars",
+            &["W103", "I202", "I201", "I201"],
+        ),
+    ] {
+        let out = run(&["lint", file, "--world", world]);
+        assert_eq!(codes_in(&stdout(&out)), codes, "{file}: {}", stdout(&out));
     }
 }
 

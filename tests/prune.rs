@@ -316,3 +316,54 @@ fn derived_prune_params_are_pinned_for_every_bundled_scenario() {
         );
     }
 }
+
+/// Where a program's own class shares its name with another class, the
+/// derivation takes every definition into account: a user `Pipe`
+/// thinner than the library's lowers the margin to its in-radius, and a
+/// name that is a marker in one definition makes a draw `on` the ground
+/// a helper's. A class whose superclass is a variable, which may hold
+/// any class, counts among the physical ones.
+#[test]
+fn derived_prune_params_count_every_definition_of_a_class() {
+    let mars = scenic::mars::world();
+    for (name, min_radius, containment) in [
+        (
+            "thin_pipe",
+            0.01,
+            "every physical object keeps at least 0.01 m of clearance \
+             (smallest class half-extent, lowered by constant dimension overrides)",
+        ),
+        (
+            "variable_superclass",
+            0.01,
+            "every physical object keeps at least 0.01 m of clearance \
+             (smallest class half-extent, lowered by constant dimension overrides)",
+        ),
+        (
+            "marker_named_twice",
+            0.0,
+            "a helper point is drawn `on` a region outside a class `position:` default; \
+             its draw is not a physical object's final position, so erosion would be unsound",
+        ),
+    ] {
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("tests/fixtures")
+            .join(format!("{name}.scenic"));
+        let source = std::fs::read_to_string(&path).expect("fixture");
+        let scenario = compile_with_world(&source, &mars).expect("fixture compiles");
+        assert_eq!(
+            scenario.derived_prune_params().min_radius,
+            min_radius,
+            "{name}"
+        );
+        assert_eq!(
+            scenario.derived_prune_decisions()[0],
+            PruneDecision {
+                pruner: Pruner::Containment,
+                enabled: min_radius > 0.0,
+                reason: containment.to_string(),
+            },
+            "{name}"
+        );
+    }
+}
