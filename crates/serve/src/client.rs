@@ -9,6 +9,7 @@
 use crate::proto::{
     read_response, write_request, DaemonStats, ProtoError, Request, Response, SampleRequest,
 };
+use std::io::BufReader;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
@@ -60,7 +61,10 @@ pub type ClientResult<T> = Result<T, ClientError>;
 /// One connection to a running daemon.
 #[derive(Debug)]
 pub struct Client {
-    stream: TcpStream,
+    /// Reads go through the buffer, so one `read` can carry a frame's
+    /// prefix, its body and the frames after it; writes go straight to
+    /// the socket.
+    stream: BufReader<TcpStream>,
 }
 
 impl Client {
@@ -72,7 +76,9 @@ impl Client {
     pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
         let _ = stream.set_nodelay(true);
-        Ok(Client { stream })
+        Ok(Client {
+            stream: BufReader::new(stream),
+        })
     }
 
     /// Connects, retrying until `timeout` elapses — for racing a daemon
@@ -101,7 +107,7 @@ impl Client {
     ///
     /// Transport errors.
     pub fn send(&mut self, request: &Request) -> ClientResult<()> {
-        write_request(&mut self.stream, request)?;
+        write_request(&mut self.stream.get_ref(), request)?;
         Ok(())
     }
 

@@ -98,7 +98,7 @@ pub type ProtoResult<T> = Result<T, ProtoError>;
 // Frame layer
 // ---------------------------------------------------------------------
 
-/// Writes one frame (length prefix + body) and flushes.
+/// Writes one frame (length prefix + body) in one write and flushes.
 ///
 /// # Errors
 ///
@@ -112,8 +112,12 @@ pub fn write_frame(w: &mut impl Write, body: &[u8]) -> ProtoResult<()> {
         });
     }
     let len = u32::try_from(body.len()).expect("frame length fits u32");
-    w.write_all(&len.to_be_bytes())?;
-    w.write_all(body)?;
+    // Prefix and body leave in one write: on a `TCP_NODELAY` socket a
+    // write of the prefix alone goes out as a segment of its own.
+    let mut frame = Vec::with_capacity(4 + body.len());
+    frame.extend_from_slice(&len.to_be_bytes());
+    frame.extend_from_slice(body);
+    w.write_all(&frame)?;
     w.flush()?;
     Ok(())
 }

@@ -2,6 +2,11 @@
 //! and responses survive the codec byte-exactly, even when the reader
 //! sees the stream in adversarially small pieces (frame boundaries
 //! split across partial reads — exactly what a TCP socket does).
+//!
+//! Drawn text mixes printable ASCII with every kind of byte the JSON
+//! layer treats as a run boundary: `"` and `\` (weighted up), `\n`,
+//! `\r`, `\t`, other control characters (U+0001, U+001F) and
+//! multi-byte characters (`é`, `€`, `😀`).
 
 use proptest::prelude::*;
 use scenic_serve::proto::{
@@ -134,7 +139,7 @@ proptest! {
     #[test]
     fn requests_round_trip_through_split_frames(
         variant in proptest::num::u8::ANY,
-        text in "[ -~\n\t]{0,120}",
+        text in "[ -~\n\t\r\"\\\\\u{1}\u{1f}é€😀]{0,120}",
         n in 0usize..100_000,
         seed in proptest::num::u64::ANY,
         flag in proptest::bool::ANY,
@@ -153,7 +158,7 @@ proptest! {
     #[test]
     fn responses_round_trip_through_split_frames(
         variant in proptest::num::u8::ANY,
-        text in "[ -~\n\t]{0,120}",
+        text in "[ -~\n\t\r\"\\\\\u{1}\u{1f}é€😀]{0,120}",
         n in 0usize..100_000,
         seed in proptest::num::u64::ANY,
         flag in proptest::bool::ANY,
@@ -169,8 +174,8 @@ proptest! {
 
     #[test]
     fn back_to_back_frames_keep_their_boundaries(
-        text_a in "[ -~]{0,60}",
-        text_b in "[ -~\n]{0,60}",
+        text_a in "[ -~\"\\\\\u{1}é€😀]{0,60}",
+        text_b in "[ -~\n\r\t\"\\\\\u{1f}é€😀]{0,60}",
         n in 0usize..1000,
         chunk in 1usize..7,
     ) {
@@ -194,7 +199,7 @@ proptest! {
 
     #[test]
     fn truncation_at_any_byte_is_an_error_never_a_wrong_value(
-        text in "[ -~]{0,40}",
+        text in "[ -~\"\\\\\u{1}é€😀]{0,40}",
         cut_fraction in 0.0..1.0f64,
     ) {
         let response = Response::Scene { index: 1, text: text.clone() };

@@ -11,10 +11,11 @@
 //!    `tests/determinism.rs` for every bundled scenario.
 //! 2. **Concurrency**: many clients with interleaved scenarios each get
 //!    exactly their own scenes; results never cross streams.
-//! 3. **Robustness**: truncated frames, oversized lengths, garbage
-//!    JSON, stalled and dropped connections, and failing scenarios all
-//!    produce typed errors or clean drops on *that* connection — the
-//!    daemon keeps serving everyone else.
+//! 3. **Robustness**: truncated frames, oversized lengths, garbage,
+//!    deeply nested or very wide JSON, stalled and dropped connections,
+//!    and failing scenarios all produce typed errors, prompt replies or
+//!    clean drops on *that* connection — the daemon keeps serving
+//!    everyone else.
 
 use scenic::serve::proto::{read_response, write_frame, Request, Response, SampleRequest};
 use scenic::serve::{Client, ClientError, Server, ServerConfig, ServerHandle};
@@ -290,13 +291,39 @@ fn oversized_length_prefix_gets_a_typed_error() {
 #[test]
 fn garbage_json_gets_a_typed_error() {
     let handle = daemon();
-    let mut raw = TcpStream::connect(handle.addr()).unwrap();
-    write_frame(&mut raw, b"{this is not json").unwrap();
-    match read_response(&mut raw).unwrap() {
-        Some(Response::Error { code, .. }) => assert_eq!(code, "bad-json"),
-        other => panic!("expected bad-json error, got {other:?}"),
+    // 10,000 open brackets once overflowed the handler thread's stack,
+    // which aborts the whole daemon; the parser now stops at its depth
+    // bound.
+    for body in [b"{this is not json".to_vec(), vec![b'['; 10_000]] {
+        let mut raw = TcpStream::connect(handle.addr()).unwrap();
+        write_frame(&mut raw, &body).unwrap();
+        match read_response(&mut raw).unwrap() {
+            Some(Response::Error { code, .. }) => assert_eq!(code, "bad-json"),
+            other => panic!("expected bad-json error, got {other:?}"),
+        }
+        assert!(read_response(&mut raw).unwrap().is_none());
+        assert_alive(&handle);
     }
-    assert!(read_response(&mut raw).unwrap().is_none());
+}
+
+#[test]
+fn an_object_with_200k_keys_is_answered_promptly() {
+    // Finding repeated keys by scanning every earlier one made this
+    // frame (2.4 MB, well under the frame cap) pin a handler thread for
+    // minutes.
+    let handle = daemon();
+    let mut body = String::from(r#"{"type":"health""#);
+    for i in 0..200_000 {
+        body.push_str(&format!(r#","k{i}":0"#));
+    }
+    body.push('}');
+    let mut raw = TcpStream::connect(handle.addr()).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    write_frame(&mut raw, body.as_bytes()).unwrap();
+    match read_response(&mut raw) {
+        Ok(Some(Response::Health { ok: true, .. })) => {}
+        other => panic!("expected a health reply within 10 s, got {other:?}"),
+    }
     assert_alive(&handle);
 }
 
