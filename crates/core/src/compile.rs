@@ -232,6 +232,9 @@ pub(crate) struct CachedDefault {
     pub(crate) meta: SpecMeta,
     /// The property the default assigns.
     pub(crate) prop: PropName,
+    /// The value of a literal (`Number`, `Bool`, `None`) expression,
+    /// which the compiled engine writes without evaluating it.
+    pub(crate) literal: Option<Value>,
     /// The default expression, shared with the class definition.
     pub(crate) expr: Arc<Expr>,
 }

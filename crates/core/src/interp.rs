@@ -15,7 +15,7 @@ use crate::early::{EarlyPlan, VisibilityGuard};
 use crate::env::{assign, clear, define, lookup, set_slot, slot, EnvRef, Scope};
 use crate::error::{Rejection, RunResult, ScenicError};
 use crate::facts::{Facts, Origin};
-use crate::object::{oriented_point, Layout, ObjData, ObjRef, PropName};
+use crate::object::{oriented_point, Known, Layout, ObjData, ObjRef, PropName};
 use crate::prune::{self, PruneParams, PrunePlan};
 use crate::scene::{PropValue, Scene, SceneObject};
 use crate::specifier::{resolve, SpecMeta, SpecSource};
@@ -23,6 +23,7 @@ use crate::value::{dict_get, tainted, DistSpec, NativeCtx, Value};
 use crate::world::World;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use scenic_geom::region::HalfPlanes;
 use scenic_geom::visibility::Viewer;
 use scenic_geom::{Heading, OrientedBox, Region, Vec2, VectorField};
 use scenic_lang::ast::{
@@ -318,8 +319,9 @@ enum Flow {
 /// Borrows from the construction site's specifiers (`'a`).
 enum Action<'a> {
     /// Values already computed (argument expressions have no
-    /// dependencies on the object under construction).
-    Const(Vec<(String, Value)>),
+    /// dependencies on the object under construction), each under its
+    /// property's name: a literal, or the name a `with` spells.
+    Const(Vec<(&'a str, Value)>),
     /// `left/right/ahead of | behind <vector>` — needs `heading` plus
     /// `width`/`height`.
     BesideVector { side: Side, target: Vec2, gap: f64 },
@@ -436,8 +438,8 @@ impl Footprint {
     fn of(d: &ObjData) -> RunResult<Footprint> {
         Ok(Footprint {
             bbox: d.bounding_box()?,
-            allow_collisions: d.bool_or("allowCollisions", false),
-            require_visible: d.bool_or("requireVisible", true),
+            allow_collisions: d.known_bool_or(Known::AllowCollisions, false),
+            require_visible: d.known_bool_or(Known::RequireVisible, true),
         })
     }
 }
@@ -1125,8 +1127,8 @@ impl<'s, 'r> Interpreter<'s, 'r> {
                     (
                         d.position()?,
                         d.heading()?,
-                        d.scalar_or("width", 1.0),
-                        d.scalar_or("height", 1.0),
+                        d.known_number_or(Known::Width, 1.0),
+                        d.known_number_or(Known::Height, 1.0),
                     )
                 };
                 let local = box_point_offset(*which, w, h);
@@ -1559,31 +1561,43 @@ impl<'s, 'r> Interpreter<'s, 'r> {
                     class: class.name.clone(),
                 };
                 match idx.checked_sub(actions.len()).map(|k| &defaults[k]) {
-                    // An explicit specifier: its action yields named values.
+                    // An explicit specifier: its action yields named values,
+                    // a `Const` one without evaluating anything.
                     None => {
-                        let values = self.eval_action(&actions[*idx], &obj)?;
-                        for (prop, slot) in props.iter().zip(&mut slots) {
-                            let value = values
-                                .iter()
-                                .find(|(p, _)| **p == **prop)
-                                .map(|(_, v)| v.clone())
-                                .ok_or_else(|| not_produced(prop))?;
-                            obj.borrow_mut().set_slot(&stage.layout, slot, value);
-                        }
+                        let written = match &actions[*idx] {
+                            Action::Const(values) => {
+                                write_named(&obj, &stage.layout, props, &mut slots, values)
+                            }
+                            action => {
+                                let values = self.eval_action(action, &obj)?;
+                                write_named(&obj, &stage.layout, props, &mut slots, &values)
+                            }
+                        };
+                        written.map_err(not_produced)?;
                     }
                     // A class default: its one value goes straight into
-                    // the object.
+                    // the object. The compiled engine writes a literal's
+                    // staged value: it draws nothing, reads nothing and
+                    // cannot fail, so every draw, read and error stays
+                    // where evaluating it would leave them.
                     Some(default) => {
-                        let value = if self.exec_cache.is_some() {
-                            let outer = self.default_self.replace(Rc::clone(&obj));
-                            let value = self.eval(&default.expr, &class.env);
-                            self.default_self = outer;
-                            value?
-                        } else {
-                            let scope = default_scope.get_or_insert_with(|| {
-                                Scope::child_with_self(&class.env, Value::Object(Rc::clone(&obj)))
-                            });
-                            self.eval(&default.expr, scope)?
+                        let value = match (&default.literal, self.exec_cache.is_some()) {
+                            (Some(literal), true) => literal.clone(),
+                            (None, true) => {
+                                let outer = self.default_self.replace(Rc::clone(&obj));
+                                let value = self.eval(&default.expr, &class.env);
+                                self.default_self = outer;
+                                value?
+                            }
+                            (_, false) => {
+                                let scope = default_scope.get_or_insert_with(|| {
+                                    Scope::child_with_self(
+                                        &class.env,
+                                        Value::Object(Rc::clone(&obj)),
+                                    )
+                                });
+                                self.eval(&default.expr, scope)?
+                            }
                         };
                         for (prop, slot) in props.iter().zip(&mut slots) {
                             if *prop != default.prop {
@@ -1638,13 +1652,23 @@ impl<'s, 'r> Interpreter<'s, 'r> {
                 Err(_) => return Ok(()),
             }
         };
-        check_containment(&self.scenario.world.workspace, &footprint)?;
+        check_containment(
+            &self.scenario.world.workspace,
+            self.half_planes(),
+            &footprint,
+        )?;
         check_collisions(&self.footprints, &footprint)?;
         if let Some((viewer, _)) = &self.ego_view {
             check_visibility(viewer, &footprint)?;
         }
         self.footprints.push(footprint);
         Ok(())
+    }
+
+    /// The workspace as half-planes, where that is exact, under the
+    /// compiled engine's hoisted path.
+    fn half_planes(&self) -> Option<&HalfPlanes> {
+        self.exec_cache.as_ref()?.workspace.as_ref()
     }
 
     /// A staged site's visibility guard (see [`crate::early`]), right
@@ -1656,7 +1680,7 @@ impl<'s, 'r> Interpreter<'s, 'r> {
         let Some((viewer, _)) = &self.ego_view else {
             return false;
         };
-        let Some(workspace) = self.exec_cache.as_ref().and_then(|c| c.workspace.as_ref()) else {
+        let Some(workspace) = self.half_planes() else {
             return false;
         };
         if self.mutation_pending || self.footprints.len() != self.objects.len() {
@@ -1725,7 +1749,7 @@ impl<'s, 'r> Interpreter<'s, 'r> {
         for spec in specifiers {
             let entry = match spec {
                 Specifier::With(prop, expr) => match self.eval(expr, env) {
-                    Ok(v) => Action::Const(vec![(prop.clone(), v)]),
+                    Ok(v) => Action::Const(vec![(prop, v)]),
                     Err(ScenicError::NeedsSelf) => Action::DeferredExpr {
                         prop,
                         expr,
@@ -1762,7 +1786,7 @@ impl<'s, 'r> Interpreter<'s, 'r> {
                 }
                 Specifier::At(expr) => {
                     let v = self.eval(expr, env)?.as_vector()?;
-                    Action::Const(vec![("position".into(), Value::Vector(v))])
+                    Action::Const(vec![("position", Value::Vector(v))])
                 }
                 Specifier::OffsetBy(expr) => {
                     let offset = self.eval(expr, env)?.as_vector()?;
@@ -1772,7 +1796,7 @@ impl<'s, 'r> Interpreter<'s, 'r> {
                         (d.position()?, d.heading().unwrap_or(0.0))
                     };
                     Action::Const(vec![(
-                        "position".into(),
+                        "position",
                         Value::Vector(pos + offset.rotated(heading)),
                     )])
                 }
@@ -1785,7 +1809,7 @@ impl<'s, 'r> Interpreter<'s, 'r> {
                         _ => dir.as_heading()?,
                     };
                     Action::Const(vec![(
-                        "position".into(),
+                        "position",
                         Value::Vector(base + offset.rotated(heading)),
                     )])
                 }
@@ -1805,8 +1829,10 @@ impl<'s, 'r> Interpreter<'s, 'r> {
                                 // Table 3 second group via Fig. 28:
                                 // `left of Object` = `left of (left edge)`.
                                 let d = o.borrow();
-                                let (w, h) =
-                                    (d.scalar_or("width", 1.0), d.scalar_or("height", 1.0));
+                                let (w, h) = (
+                                    d.known_number_or(Known::Width, 1.0),
+                                    d.known_number_or(Known::Height, 1.0),
+                                );
                                 let edge = match side {
                                     Side::Left => Vec2::new(-w / 2.0, 0.0),
                                     Side::Right => Vec2::new(w / 2.0, 0.0),
@@ -1842,7 +1868,7 @@ impl<'s, 'r> Interpreter<'s, 'r> {
                     };
                     let sight = Heading::of_vector(target - from).radians();
                     Action::Const(vec![(
-                        "position".into(),
+                        "position",
                         Value::Vector(target + offset.rotated(sight)),
                     )])
                 }
@@ -1853,7 +1879,7 @@ impl<'s, 'r> Interpreter<'s, 'r> {
                     };
                     let sector = viewer.visible_region();
                     let p = sector.sample(self.rng);
-                    Action::Const(vec![("position".into(), Value::Vector(p))])
+                    Action::Const(vec![("position", Value::Vector(p))])
                 }
                 Specifier::InRegion(expr) => {
                     let region = self.eval(expr, env)?.as_region()?;
@@ -1868,9 +1894,10 @@ impl<'s, 'r> Interpreter<'s, 'r> {
                     if let Some(pruner) = self.prune.and_then(|plan| plan.check(&region, p)) {
                         return Err(ScenicError::Rejected(Rejection::Pruned(pruner)));
                     }
-                    let mut values = vec![("position".to_string(), Value::Vector(p))];
+                    let mut values = Vec::with_capacity(2);
+                    values.push(("position", Value::Vector(p)));
                     if let Some(h) = region.orientation_at(p) {
-                        values.push(("heading".to_string(), Value::Number(h.radians())));
+                        values.push(("heading", Value::Number(h.radians())));
                     }
                     Action::Const(values)
                 }
@@ -1887,8 +1914,8 @@ impl<'s, 'r> Interpreter<'s, 'r> {
                     let d = self.eval(distance, env)?.as_number()?;
                     let end = f.follow(from, d, EULER_STEPS);
                     Action::Const(vec![
-                        ("position".into(), Value::Vector(end)),
-                        ("heading".into(), Value::Number(f.at(end).radians())),
+                        ("position", Value::Vector(end)),
+                        ("heading", Value::Number(f.at(end).radians())),
                     ])
                 }
                 Specifier::Facing(expr) => match self.eval(expr, env) {
@@ -1897,7 +1924,7 @@ impl<'s, 'r> Interpreter<'s, 'r> {
                         _ => {
                             let h = v.as_heading()?;
                             Action::Const(vec![(
-                                "heading".into(),
+                                "heading",
                                 maybe_taint(Value::Number(h), v.is_random()),
                             )])
                         }
@@ -1934,9 +1961,12 @@ impl<'s, 'r> Interpreter<'s, 'r> {
         Ok(out)
     }
 
+    /// The named values a specifier that needs the object under
+    /// construction produces. (`construct` writes an [`Action::Const`]'s
+    /// values straight from the action.)
     fn eval_action(&mut self, action: &Action, obj: &ObjRef) -> RunResult<Vec<(String, Value)>> {
         match action {
-            Action::Const(values) => Ok(values.clone()),
+            Action::Const(_) => unreachable!("construct writes Const values from the action"),
             Action::BesideVector { side, target, gap } => {
                 let (heading, offset) = {
                     let d = obj.borrow();
@@ -2112,7 +2142,11 @@ impl<'s, 'r> Interpreter<'s, 'r> {
         let decided = self.footprints.len();
         for obj in &self.objects[decided..] {
             let footprint = Footprint::of(&obj.borrow())?;
-            check_containment(&self.scenario.world.workspace, &footprint)?;
+            check_containment(
+                &self.scenario.world.workspace,
+                self.half_planes(),
+                &footprint,
+            )?;
             self.footprints.push(footprint);
         }
         for k in decided..self.footprints.len() {
@@ -2159,15 +2193,24 @@ fn finite(value: &Value) -> bool {
 /// The scale at which termination mutates this object (Fig. 25), if it
 /// does.
 fn mutation_scale(d: &ObjData) -> Option<f64> {
-    let scale = d.scalar_or("mutationScale", 0.0);
+    let scale = d.known_number_or(Known::MutationScale, 0.0);
     // NaN is not `<= 0`, so termination mutates with it.
     (scale > 0.0 || scale.is_nan()).then_some(scale)
 }
 
-/// Default requirement: the object lies inside the workspace.
-fn check_containment(workspace: &Region, footprint: &Footprint) -> RunResult<()> {
+/// Default requirement: the object lies inside the workspace, which
+/// holds when its four corners and its center do. `planes`, the
+/// workspace as exact half-planes, accepts most boxes with one disc
+/// test: where [`HalfPlanes::contains_box`] holds, so do the five point
+/// tests, and where it fails they run.
+fn check_containment(
+    workspace: &Region,
+    planes: Option<&HalfPlanes>,
+    footprint: &Footprint,
+) -> RunResult<()> {
     let bb = &footprint.bbox;
     let inside = matches!(workspace, Region::Everywhere)
+        || planes.is_some_and(|p| p.contains_box(bb))
         || (bb.corners().iter().all(|&c| workspace.contains(c)) && workspace.contains(bb.center));
     if inside {
         Ok(())
@@ -2352,16 +2395,42 @@ fn stage_class_defaults(class: &Rc<RuntimeClass>) -> Vec<crate::compile::CachedD
                 source: SpecSource::Default,
             },
             prop: prop.into(),
+            literal: match *expr {
+                Expr::Number(n) => Some(Value::Number(n)),
+                Expr::Bool(b) => Some(Value::Bool(b)),
+                Expr::None => Some(Value::None),
+                _ => None,
+            },
             expr,
         })
         .collect()
 }
 
+/// Writes each of `props`, a specifier's row in the resolved order, from
+/// the specifier's named output `values` into `obj`, at the next of
+/// `slots` in `layout`; errs with the first property the output lacks.
+fn write_named<'p, K: AsRef<str>>(
+    obj: &ObjRef,
+    layout: &Rc<Layout>,
+    props: &'p [PropName],
+    slots: &mut impl Iterator<Item = usize>,
+    values: &[(K, Value)],
+) -> Result<(), &'p PropName> {
+    for (prop, slot) in props.iter().zip(slots) {
+        let (_, value) = values
+            .iter()
+            .find(|(p, _)| p.as_ref() == &**prop)
+            .ok_or(prop)?;
+        obj.borrow_mut().set_slot(layout, slot, value.clone());
+    }
+    Ok(())
+}
+
 /// Local offset for `left of` / `right of` / `ahead of` / `behind`
 /// (Figs. 27 & 28): the object's own half-extent plus the gap.
 fn beside_offset(side: Side, obj: &ObjData, gap: f64) -> Vec2 {
-    let w = obj.scalar_or("width", 1.0);
-    let h = obj.scalar_or("height", 1.0);
+    let w = obj.known_number_or(Known::Width, 1.0);
+    let h = obj.known_number_or(Known::Height, 1.0);
     match side {
         Side::Left => Vec2::new(-(w / 2.0 + gap), 0.0),
         Side::Right => Vec2::new(w / 2.0 + gap, 0.0),

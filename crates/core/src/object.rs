@@ -5,7 +5,10 @@
 //! *layout*, the sorted names its construction site assigns, shared by
 //! every object built there (the "maps" of Self: Chambers, Ungar & Lee,
 //! OOPSLA 1989). Construction writes each value to a slot the site
-//! precomputed, and a read by name scans about 15 names.
+//! precomputed, and a read by name scans about 15 names. The runtime's
+//! own reads (footprints, viewers, mutation) name one of ten
+//! [`Known`] properties, whose slots each layout records when it is
+//! built: an inline cache (Deutsch & Schiffman, POPL 1984) on the map.
 
 use crate::error::{RunResult, ScenicError};
 use crate::value::Value;
@@ -22,12 +25,63 @@ pub type ObjRef = Rc<RefCell<ObjData>>;
 /// property costs a reference-count bump, not a string copy.
 pub type PropName = Rc<str>;
 
+/// A property the runtime itself reads, by slot: what the default
+/// requirements, viewers, mutation and `beside` offsets look at.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Known {
+    Position,
+    Heading,
+    Width,
+    Height,
+    AllowCollisions,
+    RequireVisible,
+    MutationScale,
+    ViewAngle,
+    VisibleDistance,
+    ViewDistance,
+}
+
+impl Known {
+    /// Every well-known property, in declaration order: `prop as usize`
+    /// is its index here.
+    pub(crate) const ALL: [Known; 10] = [
+        Known::Position,
+        Known::Heading,
+        Known::Width,
+        Known::Height,
+        Known::AllowCollisions,
+        Known::RequireVisible,
+        Known::MutationScale,
+        Known::ViewAngle,
+        Known::VisibleDistance,
+        Known::ViewDistance,
+    ];
+
+    /// The property's name.
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            Known::Position => "position",
+            Known::Heading => "heading",
+            Known::Width => "width",
+            Known::Height => "height",
+            Known::AllowCollisions => "allowCollisions",
+            Known::RequireVisible => "requireVisible",
+            Known::MutationScale => "mutationScale",
+            Known::ViewAngle => "viewAngle",
+            Known::VisibleDistance => "visibleDistance",
+            Known::ViewDistance => "viewDistance",
+        }
+    }
+}
+
 /// The property names an instance has slots for: sorted by name and
 /// deduplicated. Every object built at one construction site shares one
 /// layout; a write to a name outside it gives that object a grown copy.
 #[derive(Debug)]
 pub(crate) struct Layout {
     names: Box<[PropName]>,
+    /// The slot of each [`Known`] property, indexed by the variant.
+    known: [Option<usize>; Known::ALL.len()],
 }
 
 impl Layout {
@@ -36,9 +90,14 @@ impl Layout {
         let mut names: Vec<PropName> = names.into_iter().collect();
         names.sort_unstable();
         names.dedup();
-        Layout {
-            names: names.into(),
-        }
+        Layout::of_sorted(names.into())
+    }
+
+    /// The layout of `names`, already sorted and deduplicated, with the
+    /// slots of the well-known names found.
+    fn of_sorted(names: Box<[PropName]>) -> Layout {
+        let known = Known::ALL.map(|prop| slot_in(&names, prop.name()));
+        Layout { names, known }
     }
 
     /// The number of slots.
@@ -47,15 +106,8 @@ impl Layout {
     }
 
     /// The slot of `name`, if the layout has one.
-    ///
-    /// A linear scan that compares lengths first: a name's length sits
-    /// in its fat pointer, so most of the ~15 mismatches never touch the
-    /// bytes, where a binary search would compare whole strings at every
-    /// step.
     pub(crate) fn slot(&self, name: &str) -> Option<usize> {
-        self.names
-            .iter()
-            .position(|n| n.len() == name.len() && n.as_bytes() == name.as_bytes())
+        slot_in(&self.names, name)
     }
 
     /// This layout plus `name` (absent from it), and the slot `name`
@@ -66,11 +118,19 @@ impl Layout {
         names.extend_from_slice(&self.names[..at]);
         names.push(PropName::from(name));
         names.extend_from_slice(&self.names[at..]);
-        let layout = Layout {
-            names: names.into(),
-        };
-        (layout, at)
+        (Layout::of_sorted(names.into()), at)
     }
+}
+
+/// The position of `name` in `names`.
+///
+/// A linear scan that compares lengths first: a name's length sits in
+/// its fat pointer, so most of the ~15 mismatches never touch the bytes,
+/// where a binary search would compare whole strings at every step.
+fn slot_in(names: &[PropName], name: &str) -> Option<usize> {
+    names
+        .iter()
+        .position(|n| n.len() == name.len() && n.as_bytes() == name.as_bytes())
 }
 
 /// The state of an instance: its class and property assignments.
@@ -117,6 +177,37 @@ impl ObjData {
         })
     }
 
+    /// Borrows a well-known property, found by the slot its layout
+    /// recorded.
+    pub(crate) fn known(&self, prop: Known) -> Option<&Value> {
+        self.values[self.layout.known[prop as usize]?].as_ref()
+    }
+
+    /// Borrows a well-known property or errors as [`ObjData::get_required`]
+    /// does.
+    fn known_required(&self, prop: Known) -> RunResult<&Value> {
+        self.known(prop).ok_or_else(|| ScenicError::Undefined {
+            name: format!("{}.{}", self.class_name(), prop.name()),
+            line: 0,
+        })
+    }
+
+    /// A well-known scalar property, or `default` when it is unset or
+    /// not a scalar.
+    pub(crate) fn known_number_or(&self, prop: Known, default: f64) -> f64 {
+        self.known(prop)
+            .and_then(|v| v.as_number().ok())
+            .unwrap_or(default)
+    }
+
+    /// A well-known boolean property, or `default` when it is unset or
+    /// not a boolean.
+    pub(crate) fn known_bool_or(&self, prop: Known, default: bool) -> bool {
+        self.known(prop)
+            .and_then(|v| v.as_bool().ok())
+            .unwrap_or(default)
+    }
+
     /// Writes a property. A name outside the object's layout gives the
     /// object a grown copy of the layout (other objects keep theirs).
     pub fn set(&mut self, name: &str, value: Value) {
@@ -153,25 +244,18 @@ impl ObjData {
 
     /// The object's position, as a vector.
     pub fn position(&self) -> RunResult<Vec2> {
-        self.get_required("position")?.as_vector()
+        self.known_required(Known::Position)?.as_vector()
     }
 
     /// The object's heading, in radians.
     pub fn heading(&self) -> RunResult<f64> {
-        self.get_required("heading")?.as_heading()
+        self.known_required(Known::Heading)?.as_heading()
     }
 
     /// Scalar property with a default.
     pub fn scalar_or(&self, name: &str, default: f64) -> f64 {
         self.get(name)
             .and_then(|v| v.as_number().ok())
-            .unwrap_or(default)
-    }
-
-    /// Boolean property with a default.
-    pub fn bool_or(&self, name: &str, default: bool) -> bool {
-        self.get(name)
-            .and_then(|v| v.as_bool().ok())
             .unwrap_or(default)
     }
 
@@ -193,8 +277,8 @@ impl ObjData {
         Ok(OrientedBox::new(
             self.position()?,
             Heading(self.heading().unwrap_or(0.0)),
-            self.scalar_or("width", 1.0),
-            self.scalar_or("height", 1.0),
+            self.known_number_or(Known::Width, 1.0),
+            self.known_number_or(Known::Height, 1.0),
         ))
     }
 
@@ -203,13 +287,16 @@ impl ObjData {
     /// points.
     pub fn viewer(&self) -> RunResult<Viewer> {
         let position = self.position()?;
-        let view_distance = self.scalar_or("visibleDistance", self.scalar_or("viewDistance", 50.0));
+        let view_distance = self.known_number_or(
+            Known::VisibleDistance,
+            self.known_number_or(Known::ViewDistance, 50.0),
+        );
         if self.is_instance_of("OrientedPoint") {
             Ok(Viewer::oriented(
                 position,
                 Heading(self.heading()?),
                 view_distance,
-                self.scalar_or("viewAngle", std::f64::consts::TAU),
+                self.known_number_or(Known::ViewAngle, std::f64::consts::TAU),
             ))
         } else {
             Ok(Viewer::point(position, view_distance))
@@ -337,8 +424,9 @@ mod tests {
     }
 
     /// Property names the oracle test writes: a layout takes a subset,
-    /// so some writes land outside it.
-    const POOL: [&str; 10] = [
+    /// so some writes land outside it. Every well-known name is here,
+    /// and so are names that sort before and between them.
+    const POOL: [&str; 14] = [
         "position",
         "heading",
         "width",
@@ -349,6 +437,10 @@ mod tests {
         "h",
         "headingStdDev",
         "a",
+        "allowCollisions",
+        "requireVisible",
+        "visibleDistance",
+        "viewDistance",
     ];
 
     proptest! {
@@ -382,6 +474,11 @@ mod tests {
                 let got = data.get(name).map(|v| v.as_number().unwrap());
                 let want = oracle.get(name).map(|v| v.as_number().unwrap());
                 prop_assert_eq!(got, want);
+            }
+            for prop in Known::ALL {
+                let got = data.known(prop).map(|v| v.as_number().unwrap());
+                let want = oracle.get(prop.name()).map(|v| v.as_number().unwrap());
+                prop_assert!(got == want, "{}: {:?} != {:?}", prop.name(), got, want);
             }
             let got: Vec<(String, f64)> = data
                 .properties()

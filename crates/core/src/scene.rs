@@ -6,7 +6,7 @@
 //! serialize to JSON — this is the interface layer format consumed by the
 //! simulator crates.
 
-use crate::object::ObjRef;
+use crate::object::{Known, ObjRef};
 use crate::value::Value;
 use scenic_geom::{Heading, OrientedBox, Vec2};
 use serde::{Deserialize, Serialize};
@@ -116,8 +116,8 @@ impl SceneObject {
             is_ego,
             position: [position.x, position.y],
             heading: data.heading().unwrap_or(0.0),
-            width: data.scalar_or("width", 1.0),
-            height: data.scalar_or("height", 1.0),
+            width: data.known_number_or(Known::Width, 1.0),
+            height: data.known_number_or(Known::Height, 1.0),
             properties,
         }
     }

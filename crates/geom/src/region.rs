@@ -7,7 +7,7 @@
 //! the pruning pre-passes.
 
 use crate::triangulate::PolygonSampler;
-use crate::{Aabb, GridIndex, Heading, Polygon, Sector, Vec2, VectorField};
+use crate::{Aabb, GridIndex, Heading, OrientedBox, Polygon, Sector, Vec2, VectorField};
 use rand::Rng;
 use std::sync::Arc;
 
@@ -395,6 +395,15 @@ impl HalfPlanes {
             normal.dot(center) - offset >= radius + crate::disc_slack(scale + offset.abs())
         })
     }
+
+    /// Whether the box lies inside, decided from its circumscribed disc:
+    /// where it returns true, [`Region::contains`] on the region these
+    /// came from holds for each of the box's corners and its center. A
+    /// box whose heading is not finite has no finite corners, so it
+    /// answers false.
+    pub fn contains_box(&self, b: &OrientedBox) -> bool {
+        b.heading.radians().is_finite() && self.contains_disc(b.center, b.circumradius())
+    }
 }
 
 impl From<Polygon> for Region {
@@ -412,6 +421,7 @@ impl From<Sector> for Region {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -495,6 +505,88 @@ mod tests {
                         * (r * rng.gen_range(0.0..=1.0));
                     assert!(region.contains(q), "{q} within {r} of {p}");
                 }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+        /// Where `contains_box` accepts a box, the five point tests of the
+        /// containment requirement (four corners, then the center) pass:
+        /// on axis-aligned rectangles, rotated rectangles and convex
+        /// n-gons, for empty, tiny, ordinary and huge boxes with headings
+        /// that include NaN and ±∞, centered 1e-9 to 1e-3 from an edge or
+        /// corner, or that far beyond the box's inradius or circumradius.
+        #[test]
+        fn boxes_inside_the_half_planes_pass_the_five_point_tests(
+            shape in 0u32..3,
+            sides in 3usize..12,
+            cx in -1e3..1e3f64,
+            cy in -1e3..1e3f64,
+            extent in 1.0..60.0f64,
+            aspect in 0.05..1.0f64,
+            spin in -3.2..3.2f64,
+            anchor in 0usize..64,
+            along in -0.2..1.0f64,
+            gap_exp in -9.0..-3.0f64,
+            reach in 0u32..4,
+            size in 0u32..5,
+            w_frac in 0.0..1.0f64,
+            h_frac in 0.0..1.0f64,
+            turn in 0u32..8,
+            heading in -10.0..10.0f64,
+        ) {
+            let center = Vec2::new(cx, cy);
+            let poly = match shape {
+                0 => Polygon::rectangle(center, extent, extent * aspect),
+                1 => Polygon::rectangle(center, extent, extent * aspect).rotated_about(center, spin),
+                _ => Polygon::regular(center, extent, sides).rotated_about(center, spin),
+            };
+            let region = Region::from(poly.clone());
+            let planes = region.half_planes().expect("convex");
+            let (width, height) = match size {
+                0 => (0.0, 0.0),
+                1 => (w_frac * 1e-6, h_frac * 1e-6),
+                2 => (w_frac * extent, h_frac * extent),
+                3 => (0.0, h_frac * extent),
+                _ => (10f64.powf(w_frac * 300.0), 10f64.powf(h_frac * 300.0)),
+            };
+            let heading = match turn {
+                0 => f64::NAN,
+                1 => f64::INFINITY,
+                2 => f64::NEG_INFINITY,
+                3 => heading * 1e15,
+                _ => heading,
+            };
+            // A point on an edge (or, for `along < 0`, its first corner),
+            // moved inward by a gap past nothing, the box's inradius or
+            // its circumradius, or outward by the gap.
+            let vertices = poly.vertices();
+            let i = anchor % vertices.len();
+            let (a, b) = (vertices[i], vertices[(i + 1) % vertices.len()]);
+            let on_boundary = a.lerp(b, along.max(0.0));
+            let inward = if along < 0.0 {
+                (center - a).normalized()
+            } else {
+                (b - a).perp().normalized()
+            };
+            let probe = OrientedBox::new(Vec2::ZERO, Heading(heading), width, height);
+            let gap = 10f64.powf(gap_exp);
+            let depth = match reach {
+                0 => gap,
+                1 => probe.inradius() + gap,
+                2 => probe.circumradius() + gap,
+                _ => -gap,
+            };
+            let b = OrientedBox { center: on_boundary + inward * depth, ..probe };
+            if !heading.is_finite() {
+                prop_assert!(!planes.contains_box(&b), "{b:?}");
+            }
+            if planes.contains_box(&b) {
+                for corner in b.corners() {
+                    prop_assert!(region.contains(corner), "corner {corner} of {b:?}");
+                }
+                prop_assert!(region.contains(b.center), "center of {b:?}");
             }
         }
     }

@@ -20,11 +20,12 @@
 //! # Concurrency & isolation
 //!
 //! Each connection gets its own handler thread; sampling itself fans
-//! out on the shared worker pool. A malformed frame, oversized length
-//! prefix, garbage JSON, or mid-stream disconnect affects only its own
-//! connection: the handler replies with a typed [`Response::Error`]
-//! when the socket still works, then drops the connection — the shared
-//! pool and cache are never poisoned (sampler worker panics surface as
+//! out on the shared worker pool, to at most [`MAX_JOBS`] jobs a
+//! request. A malformed frame, oversized length prefix, garbage JSON,
+//! or mid-stream disconnect affects only its own connection: the
+//! handler replies with a typed [`Response::Error`] when the socket
+//! still works, then drops the connection — the shared pool and cache
+//! are never poisoned (sampler worker panics surface as
 //! [`ScenicError::WorkerPanic`] errors, not thread deaths).
 //!
 //! # Determinism
@@ -50,6 +51,11 @@ use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
+
+/// The most sampling jobs one `sample` request may ask for. Each job is
+/// a thread of the process-wide worker pool, which never shrinks, so a
+/// request over the cap gets a typed `bad-request` reply instead.
+pub const MAX_JOBS: usize = 256;
 
 /// Tunables for a daemon instance.
 #[derive(Debug, Clone)]
@@ -517,6 +523,18 @@ fn handle_sample(
     request: &SampleRequest,
 ) -> Result<(), ProtoError> {
     let started = Instant::now();
+    if request.jobs > MAX_JOBS {
+        return write_response(
+            stream,
+            &Response::Error {
+                code: "bad-request".into(),
+                message: format!(
+                    "jobs {} exceeds the daemon's cap of {MAX_JOBS}",
+                    request.jobs
+                ),
+            },
+        );
+    }
     let scenario = match compile_cached(state, &request.world, &request.source) {
         Ok((scenario, _)) => scenario,
         Err(reply) => return write_response(stream, &reply),
@@ -541,6 +559,7 @@ fn handle_sample(
         std::thread::available_parallelism()
             .map(std::num::NonZeroUsize::get)
             .unwrap_or(1)
+            .min(MAX_JOBS)
     } else {
         request.jobs
     };

@@ -108,14 +108,14 @@ fn assert_within_budget(name: &str, scenario: &scenic::core::Scenario, budget: f
 fn simplest_candidates_stay_within_the_allocation_budget() {
     let world = scenic::gta::World::generate(scenic::gta::MapConfig::default());
     let scenario = compile_with_world(&bundled("simplest.scenic"), world.core()).unwrap();
-    // Measures 30.5.
-    assert_within_budget("simplest", &scenario, 33.0);
+    // Measures 18.5.
+    assert_within_budget("simplest", &scenario, 21.0);
 }
 
 #[test]
 fn mars_bottleneck_candidates_stay_within_the_allocation_budget() {
     let world = scenic::mars::world();
     let scenario = compile_with_world(&bundled("mars_bottleneck.scenic"), &world).unwrap();
-    // Measures 54.1.
-    assert_within_budget("mars_bottleneck", &scenario, 56.0);
+    // Measures 40.0.
+    assert_within_budget("mars_bottleneck", &scenario, 42.0);
 }

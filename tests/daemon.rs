@@ -437,6 +437,42 @@ fn failing_scenario_returns_a_structured_error_and_daemon_keeps_serving() {
 }
 
 #[test]
+fn a_request_over_the_jobs_cap_is_a_bad_request_and_grows_no_pool() {
+    // Each job is a thread of the process-wide pool, which never
+    // shrinks, and a failed spawn there panics with the pool's worker
+    // list locked, which breaks every later pooled request. Neither
+    // request here starts a pool thread: the daemon refuses the first
+    // before sampling, and the second runs at jobs 1, inline.
+    let pool = scenic::core::WorkerPool::global();
+    let before = pool.workers();
+    let handle = daemon();
+    let mut client = connect(&handle);
+    let mut request = sample_request("ego = Object at 0 @ 0\n", "bare", "wide", 64);
+    request.jobs = 1_000_000;
+    let err = client
+        .sample_collect(&request)
+        .expect_err("jobs over the cap must fail");
+    assert!(
+        matches!(err, ClientError::Daemon { ref code, .. } if code == "bad-request"),
+        "expected bad-request, got {err}"
+    );
+    request.jobs = 1;
+    request.n = 1;
+    let scenes = client
+        .sample_collect(&request)
+        .expect("the same connection keeps serving");
+    assert_eq!(scenes.len(), 1);
+    // Other tests in this binary run at most 3 jobs, so they may grow
+    // the pool to 2 workers meanwhile. Had the first request sampled,
+    // its 64 scenes at 64 jobs would have left 63.
+    let after = pool.workers();
+    assert!(
+        after <= before.max(2),
+        "the pool grew from {before} to {after} workers"
+    );
+}
+
+#[test]
 fn exceeded_request_deadline_is_a_typed_timeout_with_partial_results() {
     let handle = daemon();
     let mut client = connect(&handle);

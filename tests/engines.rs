@@ -356,6 +356,20 @@ const SCOPING_PROGRAMS: &[(&str, &str)] = &[
          r = put((-1, 1))\nPipe at 1 @ (1, 2)\n",
         "mars",
     ),
+    // Literal class defaults (written from the stage by the compiled
+    // engine), overridden by `with`, and read through `self` by a
+    // sibling default and by a `using` specifier's body.
+    (
+        "class Crate(Object):\n    width: 3\n    height: 1.5\n    sturdy: True\n    label: None\n\
+         \x20   reach: self.width * 2\n\
+         specifier past(gap) specifies position requires width:\n\
+         \x20   return {'position': (self.width + gap) @ 1}\n\
+         ego = Crate at 0 @ 0, with width 2\n\
+         c = Crate using past((1, 2)), with height (1, 2), with requireVisible False\n\
+         Crate at c.reach @ 6, with sturdy False, with label 'x', with requireVisible False\n\
+         require ego.reach == 4\n",
+        "bare",
+    ),
 ];
 
 #[test]
