@@ -2,10 +2,8 @@
 //!
 //! The experiment harness behind `scenic exp`: regenerates every table
 //! and figure of the paper's evaluation (§6, Appendix D) as typed
-//! reports compared against the paper's reported numbers. The
-//! Criterion benches under `benches/` measure sampling, pruning,
-//! front-end, and detector performance; `bench_sampling` and
-//! `bench_load` write the committed `BENCH_*.json` artifacts.
+//! reports compared against the paper's reported numbers. Performance
+//! is measured by `perfbench/` (see its README), not here.
 //!
 //! Scale: the paper trained a real CNN on thousands of GTAV renders;
 //! our substrate is cheap enough to rerun end-to-end, but dataset sizes

@@ -65,9 +65,9 @@
 //!
 //! Hoisting is verified, not assumed. If any static or dynamic check
 //! fails (see [`CompiledProgram::hoisted`]), the compiled engine runs
-//! candidates through [`crate::Scenario::generate_pruned`] on the
-//! folded program — the reference path — so results stay correct, just
-//! without the speedup.
+//! candidates through [`crate::Scenario::generate_with`] on the folded
+//! program with [`Engine::Ast`] — the reference path — so results stay
+//! correct, just without the speedup.
 
 use crate::early::EarlyPlan;
 use crate::env::{own_vars, EnvRef, Scope};
@@ -313,7 +313,7 @@ impl CompiledProgram {
     ///
     /// # Errors
     ///
-    /// Same as [`Scenario::generate_pruned`].
+    /// Same as [`Scenario::generate_with`].
     pub(crate) fn generate<'a>(
         &'a self,
         rng: &mut StdRng,

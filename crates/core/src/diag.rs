@@ -16,7 +16,7 @@
 //! - `I2xx` — informational notes from the §5.2 pruning derivation.
 
 use crate::error::ScenicError;
-use scenic_lang::{ParseError, Pos, Span};
+use scenic_lang::{Pos, Span};
 use std::fmt;
 
 /// How serious a diagnostic is.
@@ -238,12 +238,6 @@ impl Diagnostic {
             }
             other => Diagnostic::global(Code::RuntimeError, other.to_string()),
         }
-    }
-
-    /// Converts a bare parse error (same mapping as
-    /// [`Diagnostic::from_error`]).
-    pub fn from_parse_error(err: &ParseError) -> Diagnostic {
-        Diagnostic::from_error(&ScenicError::Parse(err.clone()))
     }
 }
 

@@ -157,11 +157,6 @@ impl ScenicError {
         }
     }
 
-    /// Whether this is a rejection (retryable) rather than a hard error.
-    pub fn is_rejection(&self) -> bool {
-        matches!(self, ScenicError::Rejected(_))
-    }
-
     /// Attaches a source line to errors that lack one.
     pub fn with_line(mut self, new_line: u32) -> Self {
         match &mut self {

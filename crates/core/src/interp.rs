@@ -180,24 +180,6 @@ impl Scenario {
         self.generate(&mut rng)
     }
 
-    /// Like [`Scenario::generate`], but with the §5.2 prune guards of
-    /// `plan` active: positions are still drawn from the original
-    /// regions (the RNG stream is byte-identical to an unguarded run),
-    /// but a draw outside a guarded region's pruned restriction aborts
-    /// the run immediately with [`Rejection::Pruned`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Scenario::generate`], plus the early
-    /// [`ScenicError::Rejected`]\([`Rejection::Pruned`]\) rejections.
-    pub fn generate_pruned<'a>(
-        &'a self,
-        rng: &mut StdRng,
-        plan: Option<&'a PrunePlan>,
-    ) -> RunResult<Scene> {
-        self.generate_checked(rng, plan, crate::compile::Engine::Ast, self.early_plan())
-    }
-
     /// The sound [`PruneParams`] the §5.2 prepare step derives from this
     /// scenario's parsed sources: the smallest in-radius of any class
     /// that may be physical, lowered by constant `with width`/`height`
@@ -265,13 +247,19 @@ impl Scenario {
         )
     }
 
-    /// Like [`Scenario::generate_pruned`], but dispatched through the
-    /// chosen evaluation [`crate::compile::Engine`]. Both engines
-    /// produce byte-identical scenes from identical RNG states.
+    /// Like [`Scenario::generate`], but dispatched through the chosen
+    /// evaluation [`crate::compile::Engine`] and with the §5.2 prune
+    /// guards of `plan` active: positions are still drawn from the
+    /// original regions (the RNG stream is byte-identical to an
+    /// unguarded run), but a draw outside a guarded region's pruned
+    /// restriction aborts the run immediately with
+    /// [`Rejection::Pruned`]. Both engines produce byte-identical scenes
+    /// from identical RNG states.
     ///
     /// # Errors
     ///
-    /// Same as [`Scenario::generate_pruned`].
+    /// Same as [`Scenario::generate`], plus the early
+    /// [`ScenicError::Rejected`]\([`Rejection::Pruned`]\) rejections.
     pub fn generate_with<'a>(
         &'a self,
         rng: &mut StdRng,
@@ -448,7 +436,7 @@ impl Footprint {
 pub struct Interpreter<'s, 'r> {
     scenario: &'s Scenario,
     rng: &'r mut StdRng,
-    /// Active §5.2 prune guards, if any ([`Scenario::generate_pruned`]).
+    /// Active §5.2 prune guards, if any ([`Scenario::generate_with`]).
     prune: Option<&'s PrunePlan>,
     /// Which constraints are checked as soon as they are decidable.
     early: &'s EarlyPlan,

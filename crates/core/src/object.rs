@@ -7,7 +7,7 @@
 //! OOPSLA 1989). Construction writes each value to a slot the site
 //! precomputed, and a read by name scans about 15 names. The runtime's
 //! own reads (footprints, viewers, mutation) name one of ten
-//! [`Known`] properties, whose slots each layout records when it is
+//! `Known` properties, whose slots each layout records when it is
 //! built: an inline cache (Deutsch & Schiffman, POPL 1984) on the map.
 
 use crate::error::{RunResult, ScenicError};

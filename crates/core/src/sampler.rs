@@ -99,15 +99,6 @@ impl SamplerStats {
             + self.prune_size_rejections
     }
 
-    /// Runs killed early by one specific pruner.
-    pub fn prune_rejections_by(&self, pruner: Pruner) -> usize {
-        match pruner {
-            Pruner::Containment => self.prune_containment_rejections,
-            Pruner::Orientation => self.prune_orientation_rejections,
-            Pruner::Size => self.prune_size_rejections,
-        }
-    }
-
     /// Iterations that got past the prune guards. With pruning off this
     /// equals [`SamplerStats::iterations`]. Under
     /// [`Sampler::with_deferred_checks`] it is the iteration count a
@@ -418,20 +409,6 @@ impl<'s> Sampler<'s> {
         self
     }
 
-    /// Like [`Sampler::with_pruning`], but reusing an already-built
-    /// plan (e.g. one [`Scenario::prune_plan_with`] result shared by
-    /// many samplers, so the prepare step runs once, not per sampler).
-    pub fn with_prune_plan(mut self, plan: Arc<PrunePlan>) -> Self {
-        self.prune = (!plan.is_empty()).then_some(plan);
-        self
-    }
-
-    /// Turns prune guards off again.
-    pub fn without_pruning(mut self) -> Self {
-        self.prune = None;
-        self
-    }
-
     /// Checks every requirement at termination, as Fig. 25 states it,
     /// instead of as soon as it is decidable. By default each hard
     /// `require` is checked at its own statement and each object's
@@ -469,11 +446,6 @@ impl<'s> Sampler<'s> {
     /// Statistics accumulated so far.
     pub fn stats(&self) -> SamplerStats {
         self.stats
-    }
-
-    /// Resets the statistics.
-    pub fn reset_stats(&mut self) {
-        self.stats = SamplerStats::default();
     }
 
     /// Generates one scene, retrying rejected runs up to the configured
@@ -525,15 +497,6 @@ impl<'s> Sampler<'s> {
         );
         self.stats.merge(&stats);
         result
-    }
-
-    /// Generates `n` scenes from the sampler's sequential RNG stream.
-    ///
-    /// # Errors
-    ///
-    /// Stops at the first hard error or exhausted budget.
-    pub fn sample_many(&mut self, n: usize) -> RunResult<Vec<Scene>> {
-        (0..n).map(|_| self.sample()).collect()
     }
 
     /// Generates `n` scenes across `jobs` worker threads,

@@ -107,11 +107,6 @@ impl Detector {
         }
     }
 
-    /// Total labeled cars seen in training.
-    pub fn training_examples(&self) -> f64 {
-        self.total
-    }
-
     /// Relative density of a bin: 1.0 means "seen at the average rate".
     fn rel_density(count: f64, total: f64, bins: f64) -> f64 {
         if total <= 0.0 {

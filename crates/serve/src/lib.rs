@@ -12,8 +12,8 @@
 //!   [`ScenarioCache`](scenic_core::ScenarioCache) across all clients,
 //!   streaming batch replies, `status`/`stats`/`health`, graceful
 //!   shutdown, per-request timeouts;
-//! - [`client`] — the client library the `scenic client` CLI and the
-//!   `bench_load` bencher are built on;
+//! - [`client`] — the client library the `scenic client` CLI and
+//!   perfbench's `daemon` workload are built on;
 //! - [`mod@format`] — the scene renderer shared with the CLI, which is what
 //!   makes daemon output *byte-identical* to `scenic sample`.
 //!

@@ -67,6 +67,28 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
+/// Writes a chunk of output to stdout, exiting quietly if the reader
+/// went away. A downstream `| head`-style consumer routinely closes the
+/// pipe mid-stream; that is a normal end of output (exit 0, like other
+/// Unix streamers), not a panic.
+fn stream_print(text: std::fmt::Arguments) {
+    use std::io::Write as _;
+    if let Err(e) = std::io::stdout().write_fmt(text) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        panic!("failed printing to stdout: {e}");
+    }
+}
+
+/// `print!` through [`stream_print`]: every stdout write of the CLI
+/// goes this way.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        stream_print(format_args!($($arg)*))
+    };
+}
+
 /// A run-time failure: scenic-language errors carry the file and source
 /// so `main` can render them through the diagnostics renderer; anything
 /// else (IO, bad values) stays a plain message.
@@ -231,12 +253,17 @@ fn default_jobs() -> usize {
         .unwrap_or(1)
 }
 
+/// Whether the command line asks for the usage: `--help` or `-h`
+/// anywhere, or `help` as the command.
+fn wants_help(args: std::env::Args) -> bool {
+    args.skip(1)
+        .enumerate()
+        .any(|(i, arg)| arg == "--help" || arg == "-h" || (i == 0 && arg == "help"))
+}
+
 fn parse_args(mut args: std::env::Args) -> Result<Options, String> {
     args.next(); // program name
     let command = args.next().ok_or("missing command")?;
-    if command == "--help" || command == "-h" || command == "help" {
-        return Err(String::new());
-    }
     let mut options = Options {
         command,
         files: Vec::new(),
@@ -561,7 +588,7 @@ fn sample_round(
         (true, true) => format!("{stem}_r{rep:02}_"),
     };
     if options.out.is_none() && options.format == "summary" && (multi_file || options.repeat > 1) {
-        println!("=== {file} (round {rep}, seed {seed}) ===");
+        out!("=== {file} (round {rep}, seed {seed}) ===\n");
     }
     for (i, scene) in scenes.iter().enumerate() {
         let text = render_scene(scene, &options.format);
@@ -582,9 +609,9 @@ fn sample_round(
             }
             None => {
                 if options.n > 1 && options.format == "summary" {
-                    println!("--- scene {i} ---");
+                    out!("--- scene {i} ---\n");
                 }
-                print!("{text}");
+                out!("{text}");
             }
         }
     }
@@ -677,7 +704,7 @@ fn print_prune_decisions(decisions: &[(String, Vec<PruneDecision>)]) {
 fn prune_report(options: &Options, world: &LoadedWorld) -> Result<(), CliError> {
     let jobs = options.jobs.unwrap_or_else(default_jobs);
     let cache = ScenarioCache::new();
-    println!("Appendix D pruning comparison (guard mode: one batch yields both columns)");
+    out!("Appendix D pruning comparison (guard mode: one batch yields both columns)\n");
     for file in &options.files {
         let source = read_source(file)?;
         let scenario = cache
@@ -701,15 +728,17 @@ fn prune_report(options: &Options, world: &LoadedWorld) -> Result<(), CliError> 
             params.min_width = Some(w);
         }
         let plan = scenario.prune_plan_with(&params);
-        println!(
-            "{file}: world {}, n={}, seed={}, jobs={jobs}",
-            options.world, options.n, options.seed
+        out!(
+            "{file}: world {}, n={}, seed={}, jobs={jobs}\n",
+            options.world,
+            options.n,
+            options.seed
         );
         if plan.is_empty() {
-            println!("  no applicable pruned regions: both columns are equal");
+            out!("  no applicable pruned regions: both columns are equal\n");
         } else {
             for row in guard_table(&plan) {
-                println!("{row}");
+                out!("{row}\n");
             }
         }
         let mut sampler = Sampler::new(&scenario)
@@ -727,9 +756,9 @@ fn prune_report(options: &Options, world: &LoadedWorld) -> Result<(), CliError> 
         let stats = sampler.stats();
         let unpruned = stats.iterations_per_scene();
         let pruned = stats.full_iterations_per_scene();
-        println!(
+        out!(
             "  iters/scene: {:.1} unpruned, {:.1} pruned ({:.2}x fewer); \
-             {} of {} candidates guard-pruned; {:.1} ms/scene wall-clock",
+             {} of {} candidates guard-pruned; {:.1} ms/scene wall-clock\n",
             unpruned,
             pruned,
             unpruned / pruned,
@@ -770,8 +799,7 @@ fn exp_command(options: &Options) -> Result<ExitCode, CliError> {
     let mut reports = Vec::new();
     for id in ids {
         let report = harness::run_experiment(id, &world, &cfg).map_err(|e| e.to_string())?;
-        print!("{}", report.to_text());
-        println!();
+        out!("{}\n", report.to_text());
         eprintln!(
             "[{id}] {:.0} ms: {} scenes sampled, {} images rendered, {} sampler iterations",
             report.wall_ms,
@@ -809,7 +837,7 @@ fn exp_command(options: &Options) -> Result<ExitCode, CliError> {
         .filter(|c| c.holds)
         .count();
     let total: usize = reports.iter().map(|r| r.checks.len()).sum();
-    println!("{held}/{total} shape checks hold");
+    out!("{held}/{total} shape checks hold\n");
     Ok(if held == total {
         ExitCode::SUCCESS
     } else {
@@ -825,27 +853,12 @@ fn serve(options: &Options) -> Result<ExitCode, CliError> {
     let local = server.local_addr().map_err(|e| e.to_string())?;
     // Scripts (and the CI smoke test) parse this line for the port, so
     // it must hit the pipe before the accept loop blocks.
-    println!("scenicd listening on {local}");
+    out!("scenicd listening on {local}\n");
     use std::io::Write as _;
     let _ = std::io::stdout().flush();
     server.run().map_err(|e| e.to_string())?;
     eprintln!("scenicd: shut down");
     Ok(ExitCode::SUCCESS)
-}
-
-/// Print a chunk of streamed output, exiting quietly if the reader
-/// went away. Scenes arrive over seconds, so a downstream
-/// `| head`-style consumer routinely closes the pipe mid-stream; that
-/// is a normal end of output (exit 0, like other Unix streamers), not
-/// a panic.
-fn stream_print(text: std::fmt::Arguments) {
-    use std::io::Write as _;
-    if let Err(e) = std::io::stdout().write_fmt(text) {
-        if e.kind() == std::io::ErrorKind::BrokenPipe {
-            std::process::exit(0);
-        }
-        panic!("failed printing to stdout: {e}");
-    }
 }
 
 /// `client sample`: stream batches from the daemon, printing exactly
@@ -858,7 +871,7 @@ fn client_sample(options: &Options, client: &mut Client, files: &[String]) -> Re
         for rep in 0..options.repeat {
             let seed = options.seed.wrapping_add(rep as u64);
             if options.format == "summary" && (multi_file || options.repeat > 1) {
-                stream_print(format_args!("=== {file} (round {rep}, seed {seed}) ===\n"));
+                out!("=== {file} (round {rep}, seed {seed}) ===\n");
             }
             let request = SampleRequest {
                 source: source.clone(),
@@ -875,9 +888,9 @@ fn client_sample(options: &Options, client: &mut Client, files: &[String]) -> Re
             client
                 .sample(&request, |i, text| {
                     if options.n > 1 && options.format == "summary" {
-                        stream_print(format_args!("--- scene {i} ---\n"));
+                        out!("--- scene {i} ---\n");
                     }
-                    stream_print(format_args!("{text}"));
+                    out!("{text}");
                 })
                 .map_err(client_err)?;
         }
@@ -917,8 +930,8 @@ fn client_command(options: &Options) -> Result<ExitCode, CliError> {
                     Response::Compiled {
                         cached,
                         source_hash,
-                    } => println!(
-                        "{file}: compiled ({}, hash {source_hash:016x})",
+                    } => out!(
+                        "{file}: compiled ({}, hash {source_hash:016x})\n",
                         if cached { "cache hit" } else { "cached now" },
                     ),
                     other => return Err(format!("unexpected daemon reply: {other:?}").into()),
@@ -947,7 +960,7 @@ fn client_command(options: &Options) -> Result<ExitCode, CliError> {
                         warnings,
                         infos,
                     } => {
-                        print!("{text}");
+                        out!("{text}");
                         eprintln!(
                             "{file}: {errors} error(s), {warnings} warning(s), {infos} note(s)"
                         );
@@ -964,30 +977,33 @@ fn client_command(options: &Options) -> Result<ExitCode, CliError> {
         }
         "status" | "stats" => {
             let stats = client.stats(action == "stats").map_err(client_err)?;
-            println!(
-                "scenicd up {:.1} s: {} request(s), {} in flight, {} scene(s) served",
+            out!(
+                "scenicd up {:.1} s: {} request(s), {} in flight, {} scene(s) served\n",
                 stats.uptime_ms as f64 / 1000.0,
                 stats.requests,
                 stats.in_flight,
                 stats.scenes_served,
             );
-            println!(
-                "cache: {} scenario(s), {} hit(s), {} miss(es); {} protocol error(s)",
-                stats.cache_entries, stats.cache_hits, stats.cache_misses, stats.protocol_errors,
+            out!(
+                "cache: {} scenario(s), {} hit(s), {} miss(es); {} protocol error(s)\n",
+                stats.cache_entries,
+                stats.cache_hits,
+                stats.cache_misses,
+                stats.protocol_errors,
             );
             for (name, scenes) in &stats.per_scenario {
-                println!("  {name}: {scenes} scene(s)");
+                out!("  {name}: {scenes} scene(s)\n");
             }
             Ok(ExitCode::SUCCESS)
         }
         "health" => {
             let uptime_ms = client.health().map_err(client_err)?;
-            println!("ok (up {uptime_ms} ms)");
+            out!("ok (up {uptime_ms} ms)\n");
             Ok(ExitCode::SUCCESS)
         }
         "shutdown" => {
             client.shutdown().map_err(client_err)?;
-            println!("scenicd shutting down");
+            out!("scenicd shutting down\n");
             Ok(ExitCode::SUCCESS)
         }
         other => Err(format!(
@@ -1005,7 +1021,7 @@ fn run(options: &Options) -> Result<ExitCode, CliError> {
                 let source = read_source(file)?;
                 let program = scenic::lang::parse(&source)
                     .map_err(|e| scenic_err(file, &source, ScenicError::Parse(e)))?;
-                print!("{}", scenic::lang::print_program(&program));
+                out!("{}", scenic::lang::print_program(&program));
             }
             Ok(ExitCode::SUCCESS)
         }
@@ -1061,9 +1077,9 @@ fn run(options: &Options) -> Result<ExitCode, CliError> {
                 any_error |= diags.iter().any(|d| d.severity == Severity::Error);
                 any_warning |= diags.iter().any(|d| d.severity == Severity::Warning);
                 if options.format == "json" {
-                    print!("{}", render_json(&diags, file));
+                    out!("{}", render_json(&diags, file));
                 } else {
-                    print!("{}", render_text(&diags, file, &source));
+                    out!("{}", render_text(&diags, file, &source));
                     let count = |s: Severity| diags.iter().filter(|d| d.severity == s).count();
                     eprintln!(
                         "{file}: {} error(s), {} warning(s), {} note(s)",
@@ -1148,6 +1164,10 @@ fn run(options: &Options) -> Result<ExitCode, CliError> {
 }
 
 fn main() -> ExitCode {
+    if wants_help(std::env::args()) {
+        out!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
     match parse_args(std::env::args()) {
         Ok(options) => match run(&options) {
             Ok(code) => code,
@@ -1162,9 +1182,7 @@ fn main() -> ExitCode {
             }
         },
         Err(message) => {
-            if !message.is_empty() {
-                eprintln!("error: {message}\n");
-            }
+            eprintln!("error: {message}\n");
             eprint!("{USAGE}");
             ExitCode::from(2)
         }

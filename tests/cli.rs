@@ -39,9 +39,12 @@ fn no_arguments_prints_usage() {
 
 #[test]
 fn help_prints_usage() {
-    let out = run(&["--help"]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(stderr(&out).contains("scenic sample"));
+    for args in [&["--help"][..], &["sample", "--help"]] {
+        let out = run(args);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {}", stderr(&out));
+        assert!(stdout(&out).contains("scenic sample"), "{args:?}");
+        assert!(stderr(&out).is_empty(), "{args:?}: {}", stderr(&out));
+    }
 }
 
 #[test]
@@ -191,6 +194,28 @@ fn bundled_gta_intersection_samples_in_parallel() {
     let text = stdout(&out);
     assert_eq!(text.matches("Car").count(), 4, "{text}");
     assert!(stderr(&out).contains("2 scenes"), "{}", stderr(&out));
+}
+
+/// A reader that closes the pipe early (`| head -c 1024`) ends the
+/// output quietly. The run writes about 233 KB, past the pipe buffer, so
+/// the CLI is still writing when the pipe closes.
+#[test]
+fn closed_stdout_pipe_ends_sampling_quietly() {
+    use std::io::Read;
+    let mut child = Command::new(scenic_bin())
+        .args(["sample", bundled("two_cars.scenic").to_str().unwrap()])
+        .args(["-n", "100", "--format", "json"])
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("launch scenic sample");
+    let mut pipe = child.stdout.take().expect("piped stdout");
+    let mut head = [0u8; 1024];
+    pipe.read_exact(&mut head).expect("read the first KiB");
+    drop(pipe);
+    let out = child.wait_with_output().expect("wait for scenic");
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    assert!(!stderr(&out).contains("panicked"), "{}", stderr(&out));
 }
 
 #[test]
