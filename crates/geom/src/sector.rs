@@ -48,12 +48,26 @@ impl Sector {
     }
 
     /// Whether `p` lies inside the sector (inclusive).
+    ///
+    /// A point outside the square about the apex that circumscribes the
+    /// disc is rejected before the distance is computed. That is exact:
+    /// when neither coordinate of the offset is NaN, `hypot(x, y) >=
+    /// max(|x|, |y|)`, so the square rejects only points the distance
+    /// test rejects too. A NaN coordinate makes the distance NaN (unless
+    /// the other one is infinite), which the distance test lets through,
+    /// so such an offset skips the square. The argument holds for every
+    /// radius, NaN, zero, negative and infinite included.
     pub fn contains(&self, p: Vec2) -> bool {
         let d = p - self.center;
-        if d.norm() > self.radius + crate::EPSILON {
+        let reach = self.radius + crate::EPSILON;
+        if (d.x.abs() > reach || d.y.abs() > reach) && !d.x.is_nan() && !d.y.is_nan() {
             return false;
         }
-        if self.is_disc() || d.norm() < crate::EPSILON {
+        let distance = d.norm();
+        if distance > reach {
+            return false;
+        }
+        if self.is_disc() || distance < crate::EPSILON {
             return true;
         }
         let dir = Heading::of_vector(d);
@@ -176,8 +190,84 @@ fn circle_segment_intersections(center: Vec2, radius: f64, a: Vec2, b: Vec2) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// `contains` as it was before the square early-out: the oracle.
+    fn contains_by_distance(s: &Sector, p: Vec2) -> bool {
+        let d = p - s.center;
+        if d.norm() > s.radius + crate::EPSILON {
+            return false;
+        }
+        if s.is_disc() || d.norm() < crate::EPSILON {
+            return true;
+        }
+        let dir = Heading::of_vector(d);
+        s.heading.abs_difference(dir) <= s.angle / 2.0 + crate::EPSILON
+    }
+
+    /// A radius from each case: ordinary, zero, negative, infinite, NaN.
+    fn radius_from(branch: u8, r: f64) -> f64 {
+        match branch % 6 {
+            0 | 1 => r,
+            2 => 0.0,
+            3 => -r,
+            4 => f64::INFINITY,
+            _ => f64::NAN,
+        }
+    }
+
+    /// An offset from the apex from each case: anywhere in a box a bit
+    /// larger than the disc's square, within 1e-9 of the circle or of the
+    /// square's edges (inside and out), the apex itself, and NaN or
+    /// infinite coordinates.
+    fn offset_from(branch: u8, reach: f64, t: f64, u: f64, jitter: f64) -> Vec2 {
+        let r = if reach.is_finite() { reach } else { 50.0 };
+        match branch % 8 {
+            0 | 1 => Vec2::new(r * 1.5 * t, r * 1.5 * u),
+            2 => Heading(std::f64::consts::TAU * t).direction() * (r + jitter),
+            3 => Vec2::new(r + jitter, r * u),
+            4 => Vec2::new(r * t, -(r + jitter)),
+            5 => Vec2::ZERO,
+            6 => Vec2::new(if u > 0.0 { f64::NAN } else { f64::INFINITY }, r * t),
+            _ => Vec2::new(r * t, if u > 0.0 { f64::NEG_INFINITY } else { f64::NAN }),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+        #[test]
+        fn square_early_out_agrees_with_the_distance_test(
+            cx in -100.0..100.0f64,
+            cy in -100.0..100.0f64,
+            radius_branch in proptest::num::u8::ANY,
+            r in 0.0..60.0f64,
+            heading in -7.0..7.0f64,
+            cone in proptest::bool::ANY,
+            angle in 0.0..6.3f64,
+            point_branch in proptest::num::u8::ANY,
+            t in -1.0..1.0f64,
+            u in -1.0..1.0f64,
+            jitter in -1e-9..1e-9f64,
+        ) {
+            let center = Vec2::new(cx, cy);
+            let radius = radius_from(radius_branch, r);
+            let sector = if cone {
+                Sector::cone(center, radius, Heading(heading), angle)
+            } else {
+                Sector::disc(center, radius)
+            };
+            let d = offset_from(point_branch, radius + crate::EPSILON, t, u, jitter);
+            let p = center + d;
+            prop_assert_eq!(sector.contains(p), contains_by_distance(&sector, p));
+            // The inequality the early-out rests on, for this offset.
+            let d = p - center;
+            if !d.x.is_nan() && !d.y.is_nan() {
+                prop_assert!(d.x.hypot(d.y) >= d.x.abs().max(d.y.abs()), "{d:?}");
+            }
+        }
+    }
 
     #[test]
     fn disc_contains() {

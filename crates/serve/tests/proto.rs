@@ -6,7 +6,8 @@
 //! Drawn text mixes printable ASCII with every kind of byte the JSON
 //! layer treats as a run boundary: `"` and `\` (weighted up), `\n`,
 //! `\r`, `\t`, other control characters (U+0001, U+001F) and
-//! multi-byte characters (`é`, `€`, `😀`).
+//! multi-byte characters (`é`, `€`, `😀`). Golden frames at the end pin
+//! the exact bytes of one frame of every message variant.
 
 use proptest::prelude::*;
 use scenic_serve::proto::{
@@ -216,5 +217,152 @@ proptest! {
             // ...never as a silently wrong or partial value.
             Ok(Some(value)) => prop_assert!(false, "truncated frame decoded: {value:?}"),
         }
+    }
+}
+
+/// Scene and source text holding every byte class the JSON writer
+/// escapes (`"`, `\`, `\n`, `\r`, `\t`, U+0001, U+001F) beside
+/// multi-byte characters it copies as they are.
+const TEXT: &str = "say \"hi\" \\ a\nb\rc\td\u{1}e\u{1f}f é 😀";
+
+/// Asserts one frame's exact bytes: its big-endian length prefix, then
+/// its JSON body.
+fn assert_frame(wire: &[u8], prefix: [u8; 4], body: &str) {
+    assert_eq!(wire[..4], prefix, "length prefix of {body}");
+    assert_eq!(std::str::from_utf8(&wire[4..]).unwrap(), body);
+}
+
+/// The exact bytes of one frame of every request variant. Daemons of
+/// other versions read these bytes, so a change here is a protocol
+/// change, not a refactor.
+#[test]
+fn request_frames_keep_their_bytes() {
+    let golden: [(Request, [u8; 4], &str); 7] = [
+        (
+            Request::Compile {
+                source: TEXT.into(),
+                world: "gta".into(),
+            },
+            [0, 0, 0, 90],
+            r#"{"type":"compile","source":"say \"hi\" \\ a\nb\rc\td\u0001e\u001ff é 😀","world":"gta"}"#,
+        ),
+        (
+            Request::Sample(SampleRequest {
+                source: TEXT.into(),
+                world: "gta".into(),
+                name: "two_cars.scenic".into(),
+                n: 8,
+                seed: u64::MAX,
+                jobs: 2,
+                prune: true,
+                engine: "compiled".into(),
+                format: "json".into(),
+                timeout_ms: Some(1500),
+            }),
+            [0, 0, 0, 226],
+            r#"{"type":"sample","source":"say \"hi\" \\ a\nb\rc\td\u0001e\u001ff é 😀","world":"gta","name":"two_cars.scenic","n":8,"seed":"18446744073709551615","jobs":2,"prune":true,"engine":"compiled","format":"json","timeout_ms":1500}"#,
+        ),
+        (
+            Request::Lint {
+                file: "a.scenic".into(),
+                source: TEXT.into(),
+                world: "mars".into(),
+            },
+            [0, 0, 0, 106],
+            r#"{"type":"lint","file":"a.scenic","source":"say \"hi\" \\ a\nb\rc\td\u0001e\u001ff é 😀","world":"mars"}"#,
+        ),
+        (Request::Status, [0, 0, 0, 17], r#"{"type":"status"}"#),
+        (Request::Stats, [0, 0, 0, 16], r#"{"type":"stats"}"#),
+        (Request::Health, [0, 0, 0, 17], r#"{"type":"health"}"#),
+        (Request::Shutdown, [0, 0, 0, 19], r#"{"type":"shutdown"}"#),
+    ];
+    for (request, prefix, body) in golden {
+        let mut wire = Vec::new();
+        write_request(&mut wire, &request).unwrap();
+        assert_frame(&wire, prefix, body);
+    }
+}
+
+/// The exact bytes of one frame of every response variant; clients of
+/// other versions read these bytes.
+#[test]
+fn response_frames_keep_their_bytes() {
+    let golden: [(Response, [u8; 4], &str); 8] = [
+        (
+            Response::Compiled {
+                cached: true,
+                source_hash: u64::MAX - 1,
+            },
+            [0, 0, 0, 70],
+            r#"{"type":"compiled","cached":true,"source_hash":"18446744073709551614"}"#,
+        ),
+        (
+            Response::Scene {
+                index: 3,
+                text: TEXT.into(),
+            },
+            [0, 0, 0, 82],
+            r#"{"type":"scene","index":3,"text":"say \"hi\" \\ a\nb\rc\td\u0001e\u001ff é 😀"}"#,
+        ),
+        (
+            Response::Done {
+                scenes: 8,
+                iterations: 25,
+                elapsed_ms: 12.625,
+            },
+            [0, 0, 0, 62],
+            r#"{"type":"done","scenes":8,"iterations":25,"elapsed_ms":12.625}"#,
+        ),
+        (
+            Response::Lint {
+                text: TEXT.into(),
+                errors: 1,
+                warnings: 2,
+                infos: 0,
+            },
+            [0, 0, 0, 105],
+            r#"{"type":"lint","text":"say \"hi\" \\ a\nb\rc\td\u0001e\u001ff é 😀","errors":1,"warnings":2,"infos":0}"#,
+        ),
+        (
+            Response::Status(DaemonStats {
+                uptime_ms: 123_456,
+                requests: 9,
+                in_flight: 1,
+                scenes_served: 40,
+                cache_hits: 5,
+                cache_misses: 2,
+                cache_entries: 2,
+                protocol_errors: 0,
+                per_scenario: vec![(TEXT.into(), 32), ("simplest.scenic".into(), 8)],
+            }),
+            [0, 0, 1, 21],
+            r#"{"type":"status","uptime_ms":123456,"requests":9,"in_flight":1,"scenes_served":40,"cache_hits":5,"cache_misses":2,"cache_entries":2,"protocol_errors":0,"per_scenario":[{"name":"say \"hi\" \\ a\nb\rc\td\u0001e\u001ff é 😀","scenes":32},{"name":"simplest.scenic","scenes":8}]}"#,
+        ),
+        (
+            Response::Health {
+                ok: true,
+                uptime_ms: 77,
+            },
+            [0, 0, 0, 42],
+            r#"{"type":"health","ok":true,"uptime_ms":77}"#,
+        ),
+        (
+            Response::ShuttingDown,
+            [0, 0, 0, 24],
+            r#"{"type":"shutting-down"}"#,
+        ),
+        (
+            Response::Error {
+                code: "bad-request".into(),
+                message: TEXT.into(),
+            },
+            [0, 0, 0, 96],
+            r#"{"type":"error","code":"bad-request","message":"say \"hi\" \\ a\nb\rc\td\u0001e\u001ff é 😀"}"#,
+        ),
+    ];
+    for (response, prefix, body) in golden {
+        let mut wire = Vec::new();
+        write_response(&mut wire, &response).unwrap();
+        assert_frame(&wire, prefix, body);
     }
 }

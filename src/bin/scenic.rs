@@ -89,6 +89,16 @@ macro_rules! out {
     };
 }
 
+/// `eprint!` that drops a failed write: every stderr write of the CLI
+/// goes this way. Diagnostics and statistics are a side channel, so a
+/// closed or full stderr must not turn a run's exit code into a panic.
+macro_rules! err {
+    ($($arg:tt)*) => {{
+        use std::io::Write as _;
+        let _ = std::io::stderr().write_fmt(format_args!($($arg)*));
+    }};
+}
+
 /// A run-time failure: scenic-language errors carry the file and source
 /// so `main` can render them through the diagnostics renderer; anything
 /// else (IO, bad values) stays a plain message.
@@ -573,8 +583,8 @@ fn sample_round(
         .sample_batch(options.n, jobs)
         .map_err(|e| scenic_err(file, source, e))?;
     if options.stats {
-        eprintln!(
-            "batch digest: {file} round {rep} seed {seed}: {}",
+        err!(
+            "batch digest: {file} round {rep} seed {seed}: {}\n",
             batch_digest(&scenes)
         );
     }
@@ -599,12 +609,12 @@ fn sample_round(
                     file_extension(&options.format)
                 ));
                 std::fs::write(&path, &text).map_err(|e| format!("{}: {e}", path.display()))?;
-                eprintln!("wrote {}", path.display());
+                err!("wrote {}\n", path.display());
                 if options.ppm {
                     let ppm_path =
                         std::path::Path::new(dir).join(format!("{prefix}scene_{i:04}.ppm"));
                     write_ppm(scene, &world.background, &ppm_path)?;
-                    eprintln!("wrote {}", ppm_path.display());
+                    err!("wrote {}\n", ppm_path.display());
                 }
             }
             None => {
@@ -643,26 +653,26 @@ fn guard_table(plan: &PrunePlan) -> Vec<String> {
 /// `prune-report`, which defers every check.)
 fn print_prune_stats(prune: bool, plans: &[(String, Arc<PrunePlan>)], total: &SamplerStats) {
     if !prune {
-        eprintln!("pruning: off");
+        err!("pruning: off\n");
         return;
     }
     let guards: usize = plans.iter().map(|(_, p)| p.guards.len()).sum();
     if guards == 0 {
-        eprintln!("pruning: on (no applicable guards — sampling unchanged)");
+        err!("pruning: on (no applicable guards — sampling unchanged)\n");
         return;
     }
-    eprintln!("pruning: on ({guards} guard(s))");
+    err!("pruning: on ({guards} guard(s))\n");
     for (file, plan) in plans {
         if plan.is_empty() {
             continue;
         }
-        eprintln!("  {file}:");
+        err!("  {file}:\n");
         for row in guard_table(plan) {
-            eprintln!("  {row}");
+            err!("  {row}\n");
         }
     }
-    eprintln!(
-        "  prune-guard rejections: {} containment, {} orientation, {} size",
+    err!(
+        "  prune-guard rejections: {} containment, {} orientation, {} size\n",
         total.prune_containment_rejections,
         total.prune_orientation_rejections,
         total.prune_size_rejections,
@@ -689,7 +699,7 @@ fn print_prune_decisions(decisions: &[(String, Vec<PruneDecision>)]) {
                     dec.reason
                 ),
             );
-            eprintln!("  {}", render_line(&d));
+            err!("  {}\n", render_line(&d));
         }
     }
 }
@@ -800,8 +810,8 @@ fn exp_command(options: &Options) -> Result<ExitCode, CliError> {
     for id in ids {
         let report = harness::run_experiment(id, &world, &cfg).map_err(|e| e.to_string())?;
         out!("{}\n", report.to_text());
-        eprintln!(
-            "[{id}] {:.0} ms: {} scenes sampled, {} images rendered, {} sampler iterations",
+        err!(
+            "[{id}] {:.0} ms: {} scenes sampled, {} images rendered, {} sampler iterations\n",
             report.wall_ms,
             report.counters.scenes,
             report.counters.images,
@@ -816,17 +826,17 @@ fn exp_command(options: &Options) -> Result<ExitCode, CliError> {
     if let Some(path) = &options.json_out {
         std::fs::write(path, report::to_json(&reports, &run_config))
             .map_err(|e| format!("{path}: {e}"))?;
-        eprintln!("wrote {path}");
+        err!("wrote {path}\n");
     }
     if let Some(path) = &options.md_out {
         std::fs::write(path, report::to_markdown(&reports, &run_config))
             .map_err(|e| format!("{path}: {e}"))?;
-        eprintln!("wrote {path}");
+        err!("wrote {path}\n");
     }
     if options.stats {
         let cache = scenic::bench::exp_cache();
-        eprintln!(
-            "compiled {} scenario(s), {} cache hit(s)",
+        err!(
+            "compiled {} scenario(s), {} cache hit(s)\n",
             cache.misses(),
             cache.hits(),
         );
@@ -857,7 +867,7 @@ fn serve(options: &Options) -> Result<ExitCode, CliError> {
     use std::io::Write as _;
     let _ = std::io::stdout().flush();
     server.run().map_err(|e| e.to_string())?;
-    eprintln!("scenicd: shut down");
+    err!("scenicd: shut down\n");
     Ok(ExitCode::SUCCESS)
 }
 
@@ -961,9 +971,7 @@ fn client_command(options: &Options) -> Result<ExitCode, CliError> {
                         infos,
                     } => {
                         out!("{text}");
-                        eprintln!(
-                            "{file}: {errors} error(s), {warnings} warning(s), {infos} note(s)"
-                        );
+                        err!("{file}: {errors} error(s), {warnings} warning(s), {infos} note(s)\n");
                         any_error |= errors > 0;
                     }
                     other => return Err(format!("unexpected daemon reply: {other:?}").into()),
@@ -1042,17 +1050,17 @@ fn run(options: &Options) -> Result<ExitCode, CliError> {
                             .cloned()
                             .collect();
                         if !shown.is_empty() {
-                            eprint!("{}", render_text(&shown, file, &source));
+                            err!("{}", render_text(&shown, file, &source));
                         }
                         if shown.iter().any(|d| d.severity == Severity::Error) {
                             failed = true;
                         } else {
-                            eprintln!("{file}: ok");
+                            err!("{file}: ok\n");
                         }
                     }
                     Err(err) => {
                         let d = Diagnostic::from_error(&err);
-                        eprint!("{}", render_text(&[d], file, &source));
+                        err!("{}", render_text(&[d], file, &source));
                         failed = true;
                     }
                 }
@@ -1081,8 +1089,8 @@ fn run(options: &Options) -> Result<ExitCode, CliError> {
                 } else {
                     out!("{}", render_text(&diags, file, &source));
                     let count = |s: Severity| diags.iter().filter(|d| d.severity == s).count();
-                    eprintln!(
-                        "{file}: {} error(s), {} warning(s), {} note(s)",
+                    err!(
+                        "{file}: {} error(s), {} warning(s), {} note(s)\n",
                         count(Severity::Error),
                         count(Severity::Warning),
                         count(Severity::Info),
@@ -1129,10 +1137,10 @@ fn run(options: &Options) -> Result<ExitCode, CliError> {
                 }
             }
             if options.stats {
-                eprintln!("engine: {}", options.engine);
-                eprintln!(
+                err!("engine: {}\n", options.engine);
+                err!(
                     "{} scenes, {} iterations ({:.1}/scene); rejections: \
-                     {} requirement, {} collision, {} containment, {} visibility",
+                     {} requirement, {} collision, {} containment, {} visibility\n",
                     total.scenes,
                     total.iterations,
                     total.iterations_per_scene(),
@@ -1143,8 +1151,8 @@ fn run(options: &Options) -> Result<ExitCode, CliError> {
                 );
                 print_prune_stats(options.prune, &plans, &total);
                 print_prune_decisions(&decisions);
-                eprintln!(
-                    "compiled {} scenario(s), {} cache hit(s)",
+                err!(
+                    "compiled {} scenario(s), {} cache hit(s)\n",
                     cache.misses(),
                     cache.hits(),
                 );
@@ -1173,17 +1181,17 @@ fn main() -> ExitCode {
             Ok(code) => code,
             Err(CliError::Scenic { file, source, err }) => {
                 let d = Diagnostic::from_error(&err);
-                eprint!("{}", render_text(&[d], &file, &source));
+                err!("{}", render_text(&[d], &file, &source));
                 ExitCode::FAILURE
             }
             Err(CliError::Other(message)) => {
-                eprintln!("error: {message}");
+                err!("error: {message}\n");
                 ExitCode::FAILURE
             }
         },
         Err(message) => {
-            eprintln!("error: {message}\n");
-            eprint!("{USAGE}");
+            err!("error: {message}\n\n");
+            err!("{USAGE}");
             ExitCode::from(2)
         }
     }

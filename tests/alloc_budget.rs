@@ -1,4 +1,5 @@
-//! Heap allocations per rejection-sampling candidate.
+//! Heap allocations per rejection-sampling candidate, and per scene of
+//! output.
 //!
 //! Nearly every candidate the sampler draws is rejected (`simplest`
 //! draws about 118 per scene, `mars_bottleneck` about 1,760), so the
@@ -6,6 +7,8 @@
 //! throughput, and every allocation in that loop is paid thousands of
 //! times per scene. This binary installs a counting global allocator
 //! and holds two reject-heavy scenarios to a per-candidate budget.
+//! Every accepted scene is then written out (`Scene::to_json`, the gta
+//! export), so the writers are held to a per-scene budget as well.
 //!
 //! The allocator counts the current thread only (a `const`
 //! thread-local), so tests running in parallel do not mix their counts,
@@ -118,4 +121,43 @@ fn mars_bottleneck_candidates_stay_within_the_allocation_budget() {
     let scenario = compile_with_world(&bundled("mars_bottleneck.scenic"), &world).unwrap();
     // Measures 40.0.
     assert_within_budget("mars_bottleneck", &scenario, 42.0);
+}
+
+/// Mean allocations per scene of `write` over a pinned `two_cars` batch
+/// (seed 11, 8 scenes, jobs 1).
+fn allocations_per_scene(write: impl Fn(&Scene) -> String) -> f64 {
+    let world = scenic::gta::World::generate(scenic::gta::MapConfig::default());
+    let scenario = compile_with_world(&bundled("two_cars.scenic"), world.core()).unwrap();
+    let scenes = Sampler::new(&scenario)
+        .with_seed(11)
+        .sample_batch(8, 1)
+        .unwrap();
+    let before = ALLOCATIONS.with(Cell::get);
+    for scene in &scenes {
+        drop(write(scene));
+    }
+    let after = ALLOCATIONS.with(Cell::get);
+    (after - before) as f64 / scenes.len() as f64
+}
+
+fn assert_output_within_budget(name: &str, write: impl Fn(&Scene) -> String, budget: f64) {
+    let mean = allocations_per_scene(write);
+    eprintln!("{name}: {mean:.1} allocations per scene");
+    assert!(
+        mean <= budget,
+        "{name}: {mean:.1} heap allocations per scene, budget {budget}"
+    );
+}
+
+#[test]
+fn scene_json_stays_within_the_allocation_budget() {
+    // Measures 11.0: the output string's growth and the writer's stack of
+    // open containers. Writing through a `Value` tree makes 104.
+    assert_output_within_budget("Scene::to_json", Scene::to_json, 13.0);
+}
+
+#[test]
+fn gta_export_stays_within_the_allocation_budget() {
+    // Measures 37.0. Writing each command through a `Value` tree makes 70.
+    assert_output_within_budget("to_gta_json_lines", scenic::sim::to_gta_json_lines, 39.0);
 }

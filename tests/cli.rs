@@ -218,6 +218,38 @@ fn closed_stdout_pipe_ends_sampling_quietly() {
     assert!(!stderr(&out).contains("panicked"), "{}", stderr(&out));
 }
 
+/// With stderr on a pipe whose reader is gone, a run still exits with
+/// the code it decided (success, run-time error, usage error): the
+/// failed stderr writes are dropped, not a panic (exit 101).
+#[test]
+fn closed_stderr_pipe_keeps_the_exit_code() {
+    let two_cars = bundled("two_cars.scenic");
+    let simplest = bundled("simplest.scenic");
+    let nope = bundled("nope.scenic");
+    let (two_cars, simplest, nope) = (
+        two_cars.to_str().unwrap(),
+        simplest.to_str().unwrap(),
+        nope.to_str().unwrap(),
+    );
+    let cases: [(&[&str], i32); 4] = [
+        (&["sample", two_cars, "-n", "5", "--stats"], 0),
+        (&["lint", simplest, two_cars], 0),
+        (&["sample", nope], 1),
+        (&["sample", two_cars, "--bogus"], 2),
+    ];
+    for (args, code) in cases {
+        let (reader, writer) = std::io::pipe().expect("create a pipe");
+        drop(reader);
+        let status = Command::new(scenic_bin())
+            .args(args)
+            .stdout(std::process::Stdio::null())
+            .stderr(writer)
+            .status()
+            .expect("launch scenic");
+        assert_eq!(status.code(), Some(code), "{args:?}");
+    }
+}
+
 #[test]
 fn sample_json_round_trips() {
     let path = write_scenario("json.scenic", "ego = Car\nCar\n");
