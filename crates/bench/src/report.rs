@@ -214,29 +214,13 @@ impl ExperimentReport {
     }
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
+/// `s` as a JSON string literal, escaped by the vendored writer.
+fn quoted(s: &str) -> String {
+    serde_json::to_string(s).expect("a string always serializes")
 }
 
 fn json_str_list(items: &[String]) -> String {
-    let cells: Vec<String> = items
-        .iter()
-        .map(|c| format!("\"{}\"", json_escape(c)))
-        .collect();
+    let cells: Vec<String> = items.iter().map(|c| quoted(c)).collect();
     format!("[{}]", cells.join(", "))
 }
 
@@ -274,13 +258,9 @@ pub fn to_json(reports: &[ExperimentReport], config: &RunConfig) -> String {
     let _ = writeln!(out, "  \"experiments\": [");
     for (i, report) in reports.iter().enumerate() {
         let _ = writeln!(out, "    {{");
-        let _ = writeln!(out, "      \"id\": \"{}\",", json_escape(&report.id));
-        let _ = writeln!(out, "      \"title\": \"{}\",", json_escape(&report.title));
-        let _ = writeln!(
-            out,
-            "      \"paper_ref\": \"{}\",",
-            json_escape(&report.paper_ref)
-        );
+        let _ = writeln!(out, "      \"id\": {},", quoted(&report.id));
+        let _ = writeln!(out, "      \"title\": {},", quoted(&report.title));
+        let _ = writeln!(out, "      \"paper_ref\": {},", quoted(&report.paper_ref));
         let _ = writeln!(
             out,
             "      \"counters\": {{\"scenes\": {}, \"images\": {}, \"iterations\": {}}},",
@@ -289,11 +269,7 @@ pub fn to_json(reports: &[ExperimentReport], config: &RunConfig) -> String {
         let _ = writeln!(out, "      \"tables\": [");
         for (t, table) in report.tables.iter().enumerate() {
             let _ = writeln!(out, "        {{");
-            let _ = writeln!(
-                out,
-                "          \"title\": \"{}\",",
-                json_escape(&table.title)
-            );
+            let _ = writeln!(out, "          \"title\": {},", quoted(&table.title));
             let _ = writeln!(
                 out,
                 "          \"columns\": {},",
@@ -303,9 +279,9 @@ pub fn to_json(reports: &[ExperimentReport], config: &RunConfig) -> String {
             for (r, row) in table.rows.iter().enumerate() {
                 let _ = writeln!(
                     out,
-                    "            {{\"source\": \"{}\", \"label\": \"{}\", \"cells\": {}}}{}",
+                    "            {{\"source\": \"{}\", \"label\": {}, \"cells\": {}}}{}",
                     row.source.as_str(),
-                    json_escape(&row.label),
+                    quoted(&row.label),
                     json_str_list(&row.cells),
                     if r + 1 < table.rows.len() { "," } else { "" }
                 );
@@ -322,10 +298,10 @@ pub fn to_json(reports: &[ExperimentReport], config: &RunConfig) -> String {
         for (c, check) in report.checks.iter().enumerate() {
             let _ = writeln!(
                 out,
-                "        {{\"name\": \"{}\", \"holds\": {}, \"detail\": \"{}\"}}{}",
-                json_escape(&check.name),
+                "        {{\"name\": {}, \"holds\": {}, \"detail\": {}}}{}",
+                quoted(&check.name),
                 check.holds,
-                json_escape(&check.detail),
+                quoted(&check.detail),
                 if c + 1 < report.checks.len() { "," } else { "" }
             );
         }
@@ -451,7 +427,27 @@ mod tests {
 
     #[test]
     fn escaping_handles_quotes_and_newlines() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        let text = "q\" b\\ n\n r\r t\t u\u{1} é";
+        let mut report = sample_report();
+        report.title = text.to_string();
+        report.tables[0].columns = vec![text.to_string(), "R".to_string()];
+        report.checks[0].detail = text.to_string();
+        let json = to_json(
+            &[report],
+            &RunConfig {
+                scale: 1.0,
+                seed: None,
+            },
+        );
+        let value: serde_json::Value = serde_json::from_str(&json).expect("valid JSON");
+        let experiment = &value["experiments"][0];
+        for read in [
+            &experiment["title"],
+            &experiment["tables"][0]["columns"][0],
+            &experiment["checks"][0]["detail"],
+        ] {
+            assert_eq!(read.as_str(), Some(text), "{json}");
+        }
     }
 
     #[test]

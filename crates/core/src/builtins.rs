@@ -9,6 +9,7 @@ use crate::env::{define, EnvRef};
 use crate::error::{RunResult, ScenicError};
 use crate::value::{DistSpec, NativeCtx, NativeFn, Value};
 use std::collections::HashSet;
+use std::io::Write as _;
 use std::rc::Rc;
 use std::sync::{Arc, OnceLock};
 
@@ -247,7 +248,9 @@ pub fn install(env: &EnvRef) {
         "print",
         native("print", |_, args, _| {
             let text: Vec<String> = args.iter().map(|a| a.to_string()).collect();
-            eprintln!("{}", text.join(" "));
+            // A closed or full stderr drops the line: printing is a
+            // side channel and must not end the run.
+            let _ = writeln!(std::io::stderr().lock(), "{}", text.join(" "));
             Ok(Value::None)
         }),
     );

@@ -300,40 +300,13 @@ pub fn render_text(diags: &[Diagnostic], file: &str, source: &str) -> String {
     out
 }
 
-/// One-line rendering (for `--stats` footers and logs):
-/// `info[I201]: pruner-disabled: …`.
-pub fn render_line(d: &Diagnostic) -> String {
-    let mut s = format!(
-        "{}[{}]: {}: {}",
-        d.severity,
-        d.code,
-        d.code.name(),
-        d.message
-    );
-    if let Some(span) = d.span {
-        s.push_str(&format!(" (at {}:{})", span.start.line, span.start.col));
-    }
-    s
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
+/// `s` as a JSON string literal, escaped by the vendored writer.
+fn quoted(s: &str) -> String {
+    serde_json::to_string(s).expect("a string always serializes")
 }
 
 /// Renders diagnostics as a JSON array (one object per diagnostic,
-/// `span` null when absent). Hand-formatted: the repo builds without a
-/// JSON dependency.
+/// `span` null when absent), one object per line.
 pub fn render_json(diags: &[Diagnostic], file: &str) -> String {
     let mut out = String::from("[");
     for (i, d) in diags.iter().enumerate() {
@@ -341,8 +314,8 @@ pub fn render_json(diags: &[Diagnostic], file: &str) -> String {
             out.push(',');
         }
         out.push_str(&format!(
-            "\n  {{\"file\": \"{}\", \"code\": \"{}\", \"name\": \"{}\", \"severity\": \"{}\", ",
-            json_escape(file),
+            "\n  {{\"file\": {}, \"code\": \"{}\", \"name\": \"{}\", \"severity\": \"{}\", ",
+            quoted(file),
             d.code,
             d.code.name(),
             d.severity
@@ -354,9 +327,9 @@ pub fn render_json(diags: &[Diagnostic], file: &str) -> String {
             )),
             None => out.push_str("\"span\": null, "),
         }
-        out.push_str(&format!("\"message\": \"{}\", ", json_escape(&d.message)));
+        out.push_str(&format!("\"message\": {}, ", quoted(&d.message)));
         match &d.help {
-            Some(h) => out.push_str(&format!("\"help\": \"{}\"}}", json_escape(h))),
+            Some(h) => out.push_str(&format!("\"help\": {}}}", quoted(h))),
             None => out.push_str("\"help\": null}"),
         }
     }
@@ -416,5 +389,14 @@ mod tests {
         assert!(json.contains("\"span\": null"), "{json}");
         assert!(json.contains("no \\\"ego\\\""), "{json}");
         assert!(json.contains("\"code\": \"E006\""), "{json}");
+        // Every string field reads back as written, whatever it holds.
+        let text = "q\" b\\ n\n r\r t\t u\u{1} é";
+        let mut d = Diagnostic::global(Code::EgoUndefined, text);
+        d.help = Some(text.to_string());
+        let json = render_json(&[d], text);
+        let value: serde_json::Value = serde_json::from_str(&json).expect("valid JSON");
+        for key in ["file", "message", "help"] {
+            assert_eq!(value[0][key].as_str(), Some(text), "{key}: {json}");
+        }
     }
 }

@@ -193,8 +193,7 @@ impl Scenario {
 
     /// The per-pruner enable/disable decisions behind
     /// [`Scenario::derived_prune_params`], with their reasons — the
-    /// source of the `I2xx` diagnostics shown by `scenic lint` and
-    /// `scenic sample --stats`.
+    /// source of the `I2xx` diagnostics shown by `scenic lint`.
     pub fn derived_prune_decisions(&self) -> Vec<prune::PruneDecision> {
         prune::derive_params_explained(&Facts::of(self)).1
     }

@@ -21,19 +21,22 @@
 //!
 //! # Two ways to apply a pruned region
 //!
-//! - **Guard mode** (what [`crate::sampler::Sampler::with_pruning`]
-//!   runs): positions are still drawn from the *original* region — the
-//!   RNG stream is byte-identical to unpruned sampling — but every draw
-//!   is checked against the pruned region, and a miss rejects the run
-//!   immediately ([`crate::Rejection::Pruned`]), skipping the rest of
-//!   the interpretation and the requirement checks. Accepted scenes are
+//! - **Guard mode** ([`crate::sampler::Sampler::with_pruning`] and
+//!   `with_prune_params`): positions are still drawn from the
+//!   *original* region — the RNG stream is byte-identical to unpruned
+//!   sampling — but every draw is checked against the pruned region,
+//!   and a miss rejects the run immediately
+//!   ([`crate::Rejection::Pruned`]), skipping the rest of the
+//!   interpretation and the requirement checks. Accepted scenes are
 //!   byte-identical with pruning on or off; the per-pruner rejection
 //!   counters in [`crate::SamplerStats`] record how many candidate runs
 //!   each pruner killed early. With every check deferred to termination
 //!   ([`crate::sampler::Sampler::with_deferred_checks`]) that is exactly
 //!   the iteration count a sampler drawing directly from the pruned
 //!   region would have saved — so one guarded run yields both columns of
-//!   the paper's Appendix D comparison.
+//!   the paper's Appendix D comparison. That measurement is what guard
+//!   mode is for: `scenic prune-report` is the one command that runs
+//!   it, and `scenic sample` and the daemon sample unguarded.
 //! - **Restrict mode** ([`prune_region`], used by
 //!   `scenic_gta::World::pruned`): the world's region is *replaced* by
 //!   the pruned one, so the sampler never draws a pruned-away position

@@ -392,7 +392,10 @@ impl<'s> Sampler<'s> {
     /// pruned restrictions are abandoned before full interpretation,
     /// and counted per pruner in [`SamplerStats`]. A plan with no
     /// applicable guards is dropped (sampling stays literally
-    /// unpruned).
+    /// unpruned). No sampling route of the CLI or the daemon calls
+    /// this: guards only measure what pruning saves, which
+    /// `scenic prune-report` does through
+    /// [`Sampler::with_prune_params`].
     pub fn with_pruning(mut self) -> Self {
         let plan = self.scenario.prune_plan();
         self.prune = (!plan.is_empty()).then_some(plan);

@@ -92,11 +92,13 @@ impl World {
     /// ([`scenic_core::prune::prune_region`]): the only gta-specific
     /// choice is the cell granularity — width pruning reasons about
     /// whole direction blocks (a single lane is always "narrow"), the
-    /// other pruners use lane cells. Prefer the in-sampler guard mode
-    /// ([`scenic_core::sampler::Sampler::with_pruning`]) when
-    /// byte-identical output matters; region replacement shifts the RNG
-    /// stream. See [`World::pruned_report`] for the same substitution
-    /// with its per-pruner area effects.
+    /// other pruners use lane cells. Region replacement shifts the RNG
+    /// stream, so the scenes differ from unpruned sampling; the
+    /// in-sampler guard mode
+    /// ([`scenic_core::sampler::Sampler::with_pruning`]) keeps the
+    /// unpruned stream and only counts what pruning would save. See
+    /// [`World::pruned_report`] for the same substitution with its
+    /// per-pruner area effects.
     ///
     /// # Errors
     ///

@@ -19,9 +19,8 @@ pub fn lex(source: &str) -> ParseResult<Vec<Token>> {
     Lexer::new(source).run()
 }
 
-struct Lexer<'a> {
+struct Lexer {
     chars: Vec<char>,
-    src: &'a str,
     pos: usize,
     line: u32,
     col: u32,
@@ -31,11 +30,10 @@ struct Lexer<'a> {
     at_line_start: bool,
 }
 
-impl<'a> Lexer<'a> {
-    fn new(source: &'a str) -> Self {
+impl Lexer {
+    fn new(source: &str) -> Self {
         Lexer {
             chars: source.chars().collect(),
-            src: source,
             pos: 0,
             line: 1,
             col: 1,
@@ -354,15 +352,6 @@ impl<'a> Lexer<'a> {
         };
         self.push(kind, pos);
         Ok(())
-    }
-}
-
-// Silence the unused-field warning: `src` is kept for future use in
-// snippet-bearing diagnostics.
-impl<'a> Lexer<'a> {
-    #[allow(dead_code)]
-    fn source(&self) -> &'a str {
-        self.src
     }
 }
 

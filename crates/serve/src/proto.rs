@@ -194,7 +194,9 @@ pub struct SampleRequest {
     pub seed: u64,
     /// Worker threads on the daemon's shared pool (0 = daemon default).
     pub jobs: usize,
-    /// §5.2 prune guards (acceptance-invariant either way).
+    /// Accepted and ignored: the daemon never runs the §5.2 prune
+    /// guards. The field stays on the wire because every client sends
+    /// it; the guards never changed a scene.
     pub prune: bool,
     /// Evaluation engine (`""` = daemon default, else `ast`/`compiled`).
     pub engine: String,

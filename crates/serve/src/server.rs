@@ -568,12 +568,11 @@ fn handle_sample(
             .timeout_ms
             .map_or(state.config.request_timeout, Duration::from_millis);
 
+    // `request.prune` is accepted and ignored: the daemon, like
+    // `scenic sample`, never runs the §5.2 prune guards.
     let mut sampler = Sampler::new(&scenario)
         .with_seed(request.seed)
         .with_engine(engine);
-    if request.prune {
-        sampler = sampler.with_pruning();
-    }
 
     // Chunked streaming: a chunk per `jobs` scenes keeps all workers
     // busy while delivering results incrementally.

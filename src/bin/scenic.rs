@@ -11,6 +11,8 @@
 //! scenic sample <file>... [--world W] [-n N] [--seed S] [--jobs J]
 //!               [--repeat R] [--format json|gta|wbt|summary]
 //!               [--out DIR] [--stats]
+//! scenic prune-report <file>... [--world W] [-n N] [--seed S] [--jobs J]
+//!               [pruner overrides]
 //! scenic exp    <name>... [--scale S] [--seed N] [--jobs J]
 //!               [--json PATH] [--md PATH]
 //! scenic serve  [--host H] [--port P]
@@ -28,6 +30,12 @@
 //! scene's RNG stream derives from `--seed` and the scene index, so the
 //! output is byte-identical for any worker count) and writes them to
 //! stdout (or one file per scene under `--out`).
+//!
+//! `prune-report` is the one command that runs the §5.2 prune guards: it
+//! samples with every check deferred to the end of a run and reports
+//! Appendix D's unpruned and pruned iterations per scene from a single
+//! batch. `sample` and the daemon reject candidates early only through
+//! the early `require` and object checks (see `scenic_core::early`).
 //!
 //! Repeated and multi-scenario runs compile each source once: all
 //! compilations go through a [`ScenarioCache`] keyed by source content
@@ -55,8 +63,8 @@
 //! on the seed and scene index).
 
 use scenic::core::compile::Engine;
-use scenic::core::diag::{render_json, render_line, render_text, Diagnostic, Severity};
-use scenic::core::prune::{PruneDecision, PrunePlan};
+use scenic::core::diag::{render_json, render_text, Diagnostic, Severity};
+use scenic::core::prune::PrunePlan;
 use scenic::core::sampler::{Sampler, SamplerConfig, SamplerStats};
 use scenic::core::{analyze, batch_digest, PruneParams, ScenarioCache, ScenicError, World};
 use scenic::prelude::{Scene, Vec2};
@@ -64,7 +72,6 @@ use scenic::serve::format::{file_extension, render_scene};
 use scenic::serve::proto::{Request, Response, SampleRequest};
 use scenic::serve::{Client, ClientError, Server};
 use std::process::ExitCode;
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Writes a chunk of output to stdout, exiting quietly if the reader
@@ -132,8 +139,7 @@ usage:
                 [--format text|json]
   scenic print  <file>...
   scenic sample <file>... [--world gta|mars|bare] [-n N] [--seed S]
-                [--jobs J] [--repeat R] [--prune[=off]]
-                [--engine ast|compiled]
+                [--jobs J] [--repeat R] [--engine ast|compiled]
                 [--format json|gta|wbt|summary] [--out DIR]
                 [--stats] [--ppm]
   scenic prune-report <file>... [--world W] [-n N] [--seed S] [--jobs J]
@@ -155,10 +161,6 @@ options:
                 identical for every J)
   --repeat R    sampling rounds per scenario (default: 1); each source
                 is compiled once and round r uses seed S + r
-  --prune[=off] run the §5.2 prune guards (default: on). Guards derive
-                automatically from the scenario and never change which
-                scenes are sampled — only how early doomed candidate
-                runs are abandoned; --prune=off disables them
   --engine E    candidate evaluation engine: compiled (default) runs the
                 lowered draw path (constants folded, library prefix
                 hoisted, construction staged); ast runs the reference
@@ -167,9 +169,8 @@ options:
   --format F    output format: sample takes json|gta|wbt|summary (default
                 summary); lint takes text|json (default text)
   --out DIR     write one file per scene instead of stdout
-  --stats       print rejection-sampling, pruning, and compile-cache
-                statistics, plus one batch digest per scenario round,
-                to stderr
+  --stats       print rejection-sampling and compile-cache statistics,
+                plus one batch digest per scenario round, to stderr
   --ppm         also write a top-down scene_NNNN.ppm (needs --out)
   --scale S     (exp) dataset scale factor, positive (default 1.0)
   --json PATH   (exp) write the scenic-exp/v1 JSON artifact
@@ -179,8 +180,9 @@ options:
 from one guarded batch per scenario: candidates whose draws land
 outside the pruned regions are counted (and abandoned early), so the
 unpruned and pruned iterations-per-scene columns come from a single
-run. Pruner parameters start from the derived ones and are overridden
-by --min-radius (m), --heading LO,HI (deg, relative-heading interval
+run; it is the only command that runs the §5.2 prune guards. Pruner
+parameters start from the derived ones and are overridden by
+--min-radius (m), --heading LO,HI (deg, relative-heading interval
 enabling orientation pruning), --heading-tolerance (deg),
 --max-distance (m), and --min-width (m, enabling size pruning).
 
@@ -199,9 +201,9 @@ one compiled-scenario cache, and sampled scenes stream back as they
 complete. `client` sends one action to a running daemon:
   scenic client sample <file>...   sample via the daemon; output is
                 byte-identical to `scenic sample` for the same options
-                (-n, --seed, --jobs, --repeat, --prune, --engine,
-                --format all apply; --timeout-ms sets the daemon-side
-                request deadline)
+                (-n, --seed, --jobs, --repeat, --engine, --format all
+                apply; --timeout-ms sets the daemon-side request
+                deadline)
   scenic client compile <file>...  warm the daemon's scenario cache
   scenic client lint <file>...     lint via the daemon
   scenic client status             summary daemon statistics
@@ -229,9 +231,6 @@ struct Options {
     ppm: bool,
     /// `lint --deny warnings`: warnings fail the exit status.
     deny_warnings: bool,
-    /// §5.2 prune guards during `sample` (on by default; guards never
-    /// change the sampled scenes, only how early doomed runs die).
-    prune: bool,
     /// Candidate evaluation engine for `sample` (compiled by default;
     /// scenes are byte-identical under either engine).
     engine: Engine,
@@ -288,7 +287,6 @@ fn parse_args(mut args: std::env::Args) -> Result<Options, String> {
         stats: false,
         ppm: false,
         deny_warnings: false,
-        prune: true,
         engine: Engine::default(),
         min_radius: None,
         heading: None,
@@ -363,14 +361,7 @@ fn parse_args(mut args: std::env::Args) -> Result<Options, String> {
             "--out" => options.out = Some(take("--out")?),
             "--stats" => options.stats = true,
             "--ppm" => options.ppm = true,
-            "--prune" | "--prune=on" => options.prune = true,
-            "--prune=off" => options.prune = false,
             "--engine" => options.engine = take("--engine")?.parse()?,
-            other if other.starts_with("--prune=") => {
-                return Err(format!(
-                    "unknown --prune value `{other}` (expected on or off)"
-                ));
-            }
             "--min-radius" => {
                 options.min_radius = Some(
                     take("--min-radius")?
@@ -576,9 +567,6 @@ fn sample_round(
     let mut sampler = Sampler::new(scenario)
         .with_seed(seed)
         .with_engine(options.engine);
-    if options.prune {
-        sampler = sampler.with_pruning();
-    }
     let scenes = sampler
         .sample_batch(options.n, jobs)
         .map_err(|e| scenic_err(file, source, e))?;
@@ -645,63 +633,6 @@ fn guard_table(plan: &PrunePlan) -> Vec<String> {
         }
     }
     rows
-}
-
-/// The `--stats` pruning section: the per-pruner region table plus the
-/// guard rejection counters. (Guard kills count only candidates no
-/// earlier check rejected, so the Appendix D iteration rates come from
-/// `prune-report`, which defers every check.)
-fn print_prune_stats(prune: bool, plans: &[(String, Arc<PrunePlan>)], total: &SamplerStats) {
-    if !prune {
-        err!("pruning: off\n");
-        return;
-    }
-    let guards: usize = plans.iter().map(|(_, p)| p.guards.len()).sum();
-    if guards == 0 {
-        err!("pruning: on (no applicable guards — sampling unchanged)\n");
-        return;
-    }
-    err!("pruning: on ({guards} guard(s))\n");
-    for (file, plan) in plans {
-        if plan.is_empty() {
-            continue;
-        }
-        err!("  {file}:\n");
-        for row in guard_table(plan) {
-            err!("  {row}\n");
-        }
-    }
-    err!(
-        "  prune-guard rejections: {} containment, {} orientation, {} size\n",
-        total.prune_containment_rejections,
-        total.prune_orientation_rejections,
-        total.prune_size_rejections,
-    );
-}
-
-/// The `--stats` derivation section: why each §5.2 pruner is on or off
-/// for each scenario, as `I2xx` diagnostic lines (the same decisions
-/// `scenic lint` reports).
-fn print_prune_decisions(decisions: &[(String, Vec<PruneDecision>)]) {
-    for (file, decs) in decisions {
-        for dec in decs {
-            let code = if dec.enabled {
-                scenic::core::Code::PrunerEnabled
-            } else {
-                scenic::core::Code::PrunerDisabled
-            };
-            let d = Diagnostic::global(
-                code,
-                format!(
-                    "{file}: {} pruning {}: {}",
-                    dec.pruner,
-                    if dec.enabled { "enabled" } else { "disabled" },
-                    dec.reason
-                ),
-            );
-            err!("  {}\n", render_line(&d));
-        }
-    }
 }
 
 /// `prune-report`: the Appendix D comparison from one guarded batch per
@@ -890,7 +821,7 @@ fn client_sample(options: &Options, client: &mut Client, files: &[String]) -> Re
                 n: options.n,
                 seed,
                 jobs: options.jobs.unwrap_or(0),
-                prune: options.prune,
+                prune: false,
                 engine: options.engine.to_string(),
                 format: options.format.clone(),
                 timeout_ms: options.timeout_ms,
@@ -1043,7 +974,7 @@ fn run(options: &Options) -> Result<ExitCode, CliError> {
                     Ok(scenario) => {
                         let diags = analyze(&scenario);
                         // `check` reports problems; the I2xx pruning
-                        // narration stays in `lint` and `--stats`.
+                        // narration stays in `lint`.
                         let shown: Vec<Diagnostic> = diags
                             .iter()
                             .filter(|d| d.severity > Severity::Info)
@@ -1112,12 +1043,9 @@ fn run(options: &Options) -> Result<ExitCode, CliError> {
                 std::fs::create_dir_all(dir).map_err(|e| format!("{dir}: {e}"))?;
             }
             // One cache for the whole invocation: a scenario listed
-            // twice, or sampled for --repeat rounds, compiles once (and
-            // prunes once: the plan is cached on the compiled scenario).
+            // twice, or sampled for --repeat rounds, compiles once.
             let cache = ScenarioCache::new();
             let mut total = SamplerStats::default();
-            let mut plans: Vec<(String, Arc<PrunePlan>)> = Vec::new();
-            let mut decisions: Vec<(String, Vec<PruneDecision>)> = Vec::new();
             let stems = unique_stems(&options.files);
             for (file, stem) in options.files.iter().zip(&stems) {
                 let source = read_source(file)?;
@@ -1125,12 +1053,6 @@ fn run(options: &Options) -> Result<ExitCode, CliError> {
                     let scenario = cache
                         .get_or_compile(&options.world, &source, &world.core)
                         .map_err(|e| scenic_err(file, &source, e))?;
-                    if rep == 0 && options.stats {
-                        if options.prune {
-                            plans.push((file.clone(), scenario.prune_plan()));
-                        }
-                        decisions.push((file.clone(), scenario.derived_prune_decisions()));
-                    }
                     sample_round(
                         options, &world, &scenario, file, &source, stem, rep, jobs, &mut total,
                     )?;
@@ -1149,8 +1071,6 @@ fn run(options: &Options) -> Result<ExitCode, CliError> {
                     total.containment_rejections,
                     total.visibility_rejections,
                 );
-                print_prune_stats(options.prune, &plans, &total);
-                print_prune_decisions(&decisions);
                 err!(
                     "compiled {} scenario(s), {} cache hit(s)\n",
                     cache.misses(),

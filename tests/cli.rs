@@ -226,16 +226,20 @@ fn closed_stderr_pipe_keeps_the_exit_code() {
     let two_cars = bundled("two_cars.scenic");
     let simplest = bundled("simplest.scenic");
     let nope = bundled("nope.scenic");
-    let (two_cars, simplest, nope) = (
+    // The scenario's own `print` writes to stderr from inside the sampler.
+    let prints = write_scenario("prints.scenic", "ego = Object at 0 @ 0\nprint(3)\n");
+    let (two_cars, simplest, nope, prints) = (
         two_cars.to_str().unwrap(),
         simplest.to_str().unwrap(),
         nope.to_str().unwrap(),
+        prints.to_str().unwrap(),
     );
-    let cases: [(&[&str], i32); 4] = [
+    let cases: [(&[&str], i32); 5] = [
         (&["sample", two_cars, "-n", "5", "--stats"], 0),
         (&["lint", simplest, two_cars], 0),
         (&["sample", nope], 1),
         (&["sample", two_cars, "--bogus"], 2),
+        (&["sample", prints, "--world", "bare"], 0),
     ];
     for (args, code) in cases {
         let (reader, writer) = std::io::pipe().expect("create a pipe");
@@ -512,87 +516,108 @@ fn check_accepts_multiple_files() {
     assert_eq!(stderr(&out).matches(": ok").count(), 2, "{}", stderr(&out));
 }
 
-#[test]
-fn prune_off_output_is_byte_identical_to_default() {
-    // Guard-mode pruning (the default) must never change what gets
-    // sampled — only how early doomed candidate runs are abandoned.
-    let path = bundled("mars_bottleneck.scenic");
-    let base = [
-        "sample",
-        path.to_str().unwrap(),
-        "--world",
-        "mars",
-        "--seed",
-        "4",
-        "-n",
-        "2",
-        "--jobs",
-        "2",
-    ];
-    let on = run(&base);
-    let mut with_off = base.to_vec();
-    with_off.push("--prune=off");
-    let off = run(&with_off);
-    assert!(on.status.success(), "{}", stderr(&on));
-    assert!(off.status.success(), "{}", stderr(&off));
-    assert_eq!(stdout(&on), stdout(&off));
+/// Asserts that `flag` is no `sample` option: exit 2 with the usage.
+fn assert_unknown_sample_option(path: &str, flag: &str) {
+    let out = run(&["sample", path, "--world", "mars", flag]);
+    assert_eq!(out.status.code(), Some(2), "{flag}");
+    let err = stderr(&out);
+    assert!(err.contains(&format!("unknown option `{flag}`")), "{err}");
+    assert!(err.contains("usage:"), "{err}");
 }
 
+/// `sample` is the unguarded route the retired `--prune=off` switch
+/// selected, so that spelling is now an unknown option. Its output is
+/// byte-identical to the library's unguarded sampler and, because a §5.2
+/// guard only abandons doomed candidates earlier, to its guarded one.
+#[test]
+fn prune_off_output_is_byte_identical_to_default() {
+    use scenic::prelude::{compile_with_world, Sampler};
+    use scenic::serve::format::render_scene;
+
+    let path = bundled("mars_bottleneck.scenic");
+    let path_str = path.to_str().unwrap();
+    let out = run(&[
+        "sample", path_str, "--world", "mars", "--seed", "4", "-n", "2", "--jobs", "2", "--format",
+        "json",
+    ]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let source = std::fs::read_to_string(&path).unwrap();
+    let world = scenic::mars::world();
+    let scenario = compile_with_world(&source, &world).expect("bundled scenario compiles");
+    for guarded in [false, true] {
+        let mut sampler = Sampler::new(&scenario).with_seed(4);
+        if guarded {
+            sampler = sampler.with_pruning();
+        }
+        let scenes = sampler.sample_batch(2, 2).expect("batch samples");
+        let text: String = scenes.iter().map(|s| render_scene(s, "json")).collect();
+        assert_eq!(stdout(&out), text, "guarded library run: {guarded}");
+    }
+    assert_unknown_sample_option(path_str, "--prune=off");
+}
+
+/// The §5.2 guard table and its counters are `prune-report`'s alone:
+/// no `--prune` switch turns guards on in `sample`, whose `--stats`
+/// lists no guard and counts every rejection under the check that
+/// makes it (the unguarded route's counts).
 #[test]
 fn prune_stats_table_lists_guards_and_counters() {
     let path = bundled("mars_bottleneck.scenic");
-    let out = run(&[
-        "sample",
-        path.to_str().unwrap(),
+    let path = path.to_str().unwrap();
+    let report = run(&[
+        "prune-report",
+        path,
         "--world",
         "mars",
+        "-n",
+        "2",
         "--seed",
         "4",
-        "--prune",
-        "--stats",
         "--jobs",
         "2",
     ]);
+    assert!(report.status.success(), "{}", stderr(&report));
+    let table = stdout(&report);
+    assert!(table.contains("mars.ground        containment"), "{table}");
+    assert!(table.contains("candidates guard-pruned"), "{table}");
+
+    assert_unknown_sample_option(path, "--prune");
+    let out = run(&[
+        "sample", path, "--world", "mars", "--seed", "4", "-n", "2", "--jobs", "2", "--stats",
+    ]);
     assert!(out.status.success(), "{}", stderr(&out));
     let err = stderr(&out);
-    assert!(err.contains("pruning: on (1 guard(s))"), "{err}");
-    assert!(err.contains("mars.ground"), "{err}");
-    assert!(err.contains("containment"), "{err}");
-    assert!(err.contains("prune-guard rejections:"), "{err}");
-    // Early checks pre-empt guards, so the Appendix D rates are
-    // `prune-report`'s alone.
-    assert!(!err.contains("after pruning"), "{err}");
+    assert!(
+        err.contains(
+            "2 scenes, 2660 iterations (1330.0/scene); rejections: \
+             2324 requirement, 330 collision, 4 containment, 0 visibility"
+        ),
+        "{err}"
+    );
+    assert!(!err.contains("mars.ground"), "{err}");
+    assert!(!err.contains("prune-guard rejections:"), "{err}");
 }
 
+/// With guards gone from `sample`, `--stats` has no pruning state to
+/// report on any world: neither a world with a prunable region (mars)
+/// nor one without (bare) prints a `pruning:` line or an `I2xx` note
+/// (those are `scenic lint`'s), only the rejection counts and digest.
 #[test]
 fn prune_off_and_unguarded_worlds_report_so_in_stats() {
-    let path = bundled("mars_bottleneck.scenic");
-    let out = run(&[
-        "sample",
-        path.to_str().unwrap(),
-        "--world",
-        "mars",
-        "--prune=off",
-        "--stats",
-    ]);
-    assert!(out.status.success(), "{}", stderr(&out));
-    assert!(stderr(&out).contains("pruning: off"), "{}", stderr(&out));
-    // The bare world has no prunable native regions: pruning stays on
-    // but reports that it has nothing to do.
+    let mars = bundled("mars_bottleneck.scenic");
     let bare = write_scenario("noprune.scenic", "ego = Object at 0 @ 0\n");
-    let out = run(&[
-        "sample",
-        bare.to_str().unwrap(),
-        "--world",
-        "bare",
-        "--stats",
-    ]);
-    assert!(out.status.success(), "{}", stderr(&out));
-    assert!(
-        stderr(&out).contains("no applicable guards"),
-        "{}",
-        stderr(&out)
-    );
+    for (path, world) in [
+        (mars.to_str().unwrap(), "mars"),
+        (bare.to_str().unwrap(), "bare"),
+    ] {
+        let out = run(&["sample", path, "--world", world, "--stats"]);
+        assert!(out.status.success(), "{world}: {}", stderr(&out));
+        let err = stderr(&out);
+        assert!(err.contains("rejections:"), "{world}: {err}");
+        assert!(err.contains("batch digest:"), "{world}: {err}");
+        assert!(!err.contains("pruning:"), "{world}: {err}");
+        assert!(!err.contains("I20"), "{world}: {err}");
+    }
 }
 
 #[test]

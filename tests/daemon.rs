@@ -59,6 +59,7 @@ fn sample_request(source: &str, world: &str, name: &str, n: usize) -> SampleRequ
         n,
         seed: 7,
         jobs: 2,
+        // Accepted and ignored: the daemon never runs prune guards.
         prune: true,
         engine: String::new(),
         format: "json".into(),
@@ -130,7 +131,6 @@ fn daemon_streams_are_byte_identical_to_in_process_sampling() {
     for format in ["json", "summary", "gta", "wbt"] {
         let local: Vec<String> = Sampler::new(&scenario)
             .with_seed(7)
-            .with_pruning()
             .sample_batch(4, 2)
             .unwrap()
             .iter()

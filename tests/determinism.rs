@@ -353,9 +353,9 @@ const PRUNE_FIXTURES: &[(&str, &str)] = &[
     ("variable_superclass.scenic", "mars"),
 ];
 
-#[test]
-fn pruning_on_equals_pruning_off_for_every_bundled_scenario() {
-    let fixtures = PRUNE_FIXTURES.iter().map(|(name, world)| {
+/// Every bundled scenario and every [`PRUNE_FIXTURES`] entry, compiled.
+fn prune_subjects() -> impl Iterator<Item = (&'static str, scenic::core::Scenario)> {
+    let fixtures = PRUNE_FIXTURES.iter().map(|&(name, world)| {
         let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
             .join("tests/fixtures")
             .join(name);
@@ -367,8 +367,13 @@ fn pruning_on_equals_pruning_off_for_every_bundled_scenario() {
     });
     let bundled = BUNDLED_BATCH_DIGESTS
         .iter()
-        .map(|(name, world, _)| (name, compile_bundled(name, world)));
-    for (name, scenario) in bundled.chain(fixtures) {
+        .map(|&(name, world, _)| (name, compile_bundled(name, world)));
+    bundled.chain(fixtures)
+}
+
+#[test]
+fn pruning_on_equals_pruning_off_for_every_bundled_scenario() {
+    for (name, scenario) in prune_subjects() {
         let plain = Sampler::new(&scenario)
             .with_seed(7)
             .sample_batch(3, 2)
@@ -383,6 +388,48 @@ fn pruning_on_equals_pruning_off_for_every_bundled_scenario() {
             "{name}: pruning changed the accepted scenes"
         );
     }
+}
+
+/// The invariant behind the test above, checked object by object: no
+/// object of a scene that the default (unguarded) route accepts lies
+/// outside a guard of the scenario's derived prune plan. A guard that
+/// flagged one would abandon a candidate that sampling accepts.
+#[test]
+fn no_accepted_object_trips_a_derived_prune_guard() {
+    let mut checks = 0;
+    for (name, scenario) in prune_subjects() {
+        let plan = scenario.prune_plan();
+        if plan.is_empty() {
+            continue;
+        }
+        let n = if name == "mars_bottleneck.scenic" {
+            20
+        } else {
+            100
+        };
+        let scenes = Sampler::new(&scenario)
+            .with_seed(1)
+            .sample_batch(n, 2)
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        for (i, scene) in scenes.iter().enumerate() {
+            for object in &scene.objects {
+                let position = object.position_vec();
+                for guard in &plan.guards {
+                    assert_eq!(
+                        guard.rejects(position),
+                        None,
+                        "{name}: scene {i}'s {} at {position:?} lies outside \
+                         {}.{}'s pruned region",
+                        object.class,
+                        guard.module,
+                        guard.name
+                    );
+                    checks += 1;
+                }
+            }
+        }
+    }
+    assert!(checks > 0, "no scenario derived a prune guard");
 }
 
 #[test]

@@ -50,8 +50,9 @@ fn compile_bundled(name: &str, world_name: &str) -> Scenario {
     compile_with_world(&load(name), world(world_name)).expect("bundled scenario compiles")
 }
 
-/// A batch of `n` scenes rooted at `seed`, with prune guards on as in the
-/// CLI; `deferred` moves every check to termination.
+/// A batch of `n` scenes rooted at `seed`, with prune guards on (as
+/// `scenic prune-report` samples, which also defers every check);
+/// `deferred` moves every check to termination.
 fn sample(
     scenario: &Scenario,
     seed: u64,

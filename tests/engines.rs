@@ -117,7 +117,7 @@ fn engines_agree_on_statistics_and_pruned_sampling() {
 }
 
 /// `n` scenes of `scenario` rooted at `seed` on `engine`, with prune
-/// guards on as in the CLI.
+/// guards on, so guard kills are held to the oracle too.
 fn report(scenario: &scenic::core::Scenario, seed: u64, n: usize, engine: Engine) -> BatchReport {
     Sampler::new(scenario)
         .with_seed(seed)

@@ -292,13 +292,13 @@ fn runtime_errors_render_with_code_and_position() {
 }
 
 #[test]
-fn sample_stats_surface_pruner_decisions_as_i201() {
-    let out = run(&["sample", "scenarios/two_cars.scenic", "-n", "1", "--stats"]);
+fn lint_surfaces_pruner_decisions_as_i201() {
+    let out = run(&["lint", "scenarios/two_cars.scenic"]);
     assert!(out.status.success(), "{}", stderr(&out));
-    let err = stderr(&out);
-    assert!(err.contains("info[I201]: pruner-disabled"), "{err}");
+    let text = stdout(&out);
+    assert!(text.contains("info[I201]: pruner-disabled"), "{text}");
     // All three §5.2 pruners get a decision line.
-    assert_eq!(err.matches("pruning disabled:").count(), 3, "{err}");
+    assert_eq!(text.matches("pruning disabled:").count(), 3, "{text}");
 }
 
 #[test]
